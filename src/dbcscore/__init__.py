@@ -12,8 +12,8 @@ from .dataset import (ClassPair, DatasetError, LabeledDataset, k_nearest,
                       load_csv, make_blobs, minmax_scale, sample_pair,
                       sample_pairs, save_csv)
 from .model import (MlpModel, ModelError, TrainConfig, TrainReport,
-                    TrainingDiverged, init_model, load_model,
-                    parameter_count, save_model, sigmoid, train)
+                    TrainingDiverged, init_model, load_model, save_model,
+                    sigmoid, train)
 from .boundary import (AdversarialSet, Crossing, CrossingConfig,
                        CrossingError, FailureRateExceeded, find_crossing,
                        global_adversarial_set, local_adversarial_set,
@@ -28,8 +28,7 @@ __all__ = [
     "ClassPair", "DatasetError", "LabeledDataset", "k_nearest", "load_csv",
     "make_blobs", "minmax_scale", "sample_pair", "sample_pairs", "save_csv",
     "MlpModel", "ModelError", "TrainConfig", "TrainReport", "TrainingDiverged",
-    "init_model", "load_model", "parameter_count", "save_model", "sigmoid",
-    "train",
+    "init_model", "load_model", "save_model", "sigmoid", "train",
     "AdversarialSet", "Crossing", "CrossingConfig", "CrossingError",
     "FailureRateExceeded", "find_crossing", "global_adversarial_set",
     "local_adversarial_set", "save_adversarial_set",

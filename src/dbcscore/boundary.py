@@ -206,11 +206,12 @@ def _linear_scan_kernel(f, A, B, config: CrossingConfig):
 def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossing:
     """Locate the boundary crossing on the segment between a and b.
 
-    Requires f(a) < 0.5 and f(b) >= 0.5; violations raise CrossingError
-    rather than guessing. Returns the crossing point, its interpolation
-    parameter and the bracket certificate. The linear scan reads the
-    endpoint values off its own grid, so its evaluation count stays at
-    floor(1/epsilon) + 1 when 1/epsilon is integral.
+    Requires f(a) < 0.5 <= f(b) and a finite f at the located point;
+    violations raise CrossingError rather than guessing. Returns the
+    crossing point, its interpolation parameter and the bracket
+    certificate. The linear scan reads the endpoint values off its own
+    grid, so its evaluation count stays at floor(1/epsilon) + 1 when
+    1/epsilon is integral.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -233,12 +234,17 @@ def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossin
         else:
             fa = float(np.asarray(f(a[None, :]), dtype=np.float64)[0])
         _require_straddle(fa, fb)
+    if not np.isfinite(fval[0]):
+        raise CrossingError(f"non-finite decision value {fval[0]} at lam={lam[0]:.6g}")
     point = lam[0] * a + (1.0 - lam[0]) * b
     return Crossing(point=point, lam=float(lam[0]), f_value=float(fval[0]),
                     lam_lo=float(lo[0]), lam_hi=float(hi[0]))
 
 
 def _require_straddle(fa: float, fb: float) -> None:
+    if not (math.isfinite(fa) and math.isfinite(fb)):
+        raise CrossingError(
+            f"non-finite decision value at an endpoint: f(a)={fa}, f(b)={fb}")
     if not (fa < 0.5 <= fb):
         raise CrossingError(
             f"endpoints do not straddle the boundary: f(a)={fa:.6g}, f(b)={fb:.6g} "
@@ -246,39 +252,69 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _orient_segments(f_at_rows, pairs):
-    """Split pairs into oriented segments and failures, by f at endpoints.
+def _crossing_set(f, dataset: LabeledDataset, ends, f_ends, kind: str,
+                  config: CrossingConfig) -> AdversarialSet:
+    """One crossing per segment between dataset rows, columns in order.
 
-    Orientation ignores labels: whichever endpoint f puts strictly below
-    0.5 becomes the A side. Returns (ok_rows, A_idx, B_idx, failures)
-    where A_idx/B_idx are dataset row indices per surviving pair.
+    ``ends`` holds one (row, row) index pair per segment and ``f_ends``
+    the f-values at those rows. Orientation ignores labels: whichever end
+    f puts strictly below 0.5 becomes the A side. A segment whose ends f
+    puts on the same side, or whose f-value is non-finite at an end or at
+    the located crossing, is recorded as a CrossingFailure at its position
+    in ``ends``. More than MAX_FAILURE_RATE failures, or fewer than two
+    crossings, abort the set.
     """
-    ok, a_idx, b_idx, failures = [], [], [], []
-    for i, pair in enumerate(pairs):
-        fa = f_at_rows[pair.index_a]
-        fb = f_at_rows[pair.index_b]
-        if fa < 0.5 <= fb:
-            lo_i, hi_i = pair.index_a, pair.index_b
-        elif fb < 0.5 <= fa:
-            lo_i, hi_i = pair.index_b, pair.index_a
-        else:
-            failures.append(CrossingFailure(
-                pair_index=i, index_a=pair.index_a, index_b=pair.index_b,
-                reason=f"both endpoints on the same side of 0.5 "
-                       f"(f={fa:.6g} and f={fb:.6g})"))
-            continue
-        ok.append(i)
-        a_idx.append(lo_i)
-        b_idx.append(hi_i)
-    return ok, a_idx, b_idx, failures
+    ends = np.asarray(ends, dtype=np.int64)
+    f_ends = np.asarray(f_ends, dtype=np.float64)
+    finite_ends = np.isfinite(f_ends).all(axis=1)
+    forward = finite_ends & (f_ends[:, 0] < 0.5) & (f_ends[:, 1] >= 0.5)
+    backward = finite_ends & (f_ends[:, 1] < 0.5) & (f_ends[:, 0] >= 0.5)
+    crossed = forward | backward
+    ok = np.flatnonzero(crossed)
+    oriented = np.where(backward[:, None], ends[:, ::-1], ends)
+
+    def failure(i, reason):
+        fa, fb = f_ends[i]
+        return CrossingFailure(pair_index=int(i), index_a=int(ends[i, 0]),
+                               index_b=int(ends[i, 1]),
+                               reason=f"{reason} (f={fa:.6g} and f={fb:.6g})")
+
+    failures = [failure(i, "both endpoints on the same side of 0.5"
+                        if finite_ends[i]
+                        else "non-finite decision value at an endpoint")
+                for i in np.flatnonzero(~crossed)]
+    _check_failures(failures, len(ends), ok.size, kind)
+    A = dataset.features[oriented[ok, 0]]
+    B = dataset.features[oriented[ok, 1]]
+    lam, fval, _, _ = _crossing_kernel(f, A, B, config)
+    finite = np.isfinite(fval)
+    if not finite.all():
+        failures = sorted(failures + [
+            failure(ok[j], f"non-finite decision value at lam={lam[j]:.6g}")
+            for j in np.flatnonzero(~finite)], key=lambda x: x.pair_index)
+        _check_failures(failures, len(ends), int(finite.sum()), kind)
+        ok, A, B, lam, fval = ok[finite], A[finite], B[finite], lam[finite], fval[finite]
+    points = _interp(lam, A, B)
+    provenance = tuple(
+        ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
+        for i, (ia, ib), l, v in zip(ok.tolist(), oriented[ok].tolist(),
+                                     lam.tolist(), fval.tolist())
+    )
+    return AdversarialSet(points=points.T, kind=kind, provenance=provenance,
+                          failures=tuple(failures))
 
 
-def _check_failure_rate(failures, attempted, context):
-    if attempted and len(failures) / attempted > MAX_FAILURE_RATE:
+def _check_failures(failures, attempted, crossings, kind):
+    if len(failures) / attempted > MAX_FAILURE_RATE:
         raise FailureRateExceeded(
             f"{len(failures)} of {attempted} crossings failed while building the "
-            f"{context}; the failure rate exceeds {MAX_FAILURE_RATE:.0%}. "
+            f"{kind} adversarial set; the failure rate exceeds {MAX_FAILURE_RATE:.0%}. "
             "First failure: " + failures[0].reason
+        )
+    if crossings < 2:
+        raise FailureRateExceeded(
+            f"only {crossings} of {attempted} crossings succeeded while building "
+            f"the {kind} adversarial set; need at least 2"
         )
 
 
@@ -288,30 +324,14 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
     """One crossing per sampled cross-class pair, columns in sampling order.
 
     Pairs whose endpoints f places on the same side are recorded as
-    failures and skipped; more than 10% failures aborts, and at least two
-    successful columns are required.
+    failures and skipped; more than MAX_FAILURE_RATE failures aborts, and
+    at least two successful columns are required.
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a global set, got {reps}")
-    pairs = sample_pairs(dataset, reps, seed)
+    ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
-    ok, a_idx, b_idx, failures = _orient_segments(f_rows, pairs)
-    _check_failure_rate(failures, reps, "global adversarial set")
-    if len(ok) < 2:
-        raise FailureRateExceeded(
-            f"only {len(ok)} of {reps} pairs produced crossings; need at least 2"
-        )
-    A = dataset.features[a_idx]
-    B = dataset.features[b_idx]
-    lam, fval, _, _ = _crossing_kernel(f, A, B, config)
-    points = _interp(lam, A, B)
-    provenance = tuple(
-        ColumnProvenance(pair_index=i, index_a=ia, index_b=ib,
-                         lam=float(l), f_value=float(v))
-        for i, ia, ib, l, v in zip(ok, a_idx, b_idx, lam, fval)
-    )
-    return AdversarialSet(points=points.T, kind="global",
-                          provenance=provenance, failures=tuple(failures))
+    return _crossing_set(f, dataset, ends, f_rows[ends], "global", config)
 
 
 def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
@@ -322,57 +342,26 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     The anchor (``a`` by default) is crossed toward the k+1 nearest
     same-class neighbors of the expanded endpoint, the endpoint itself
     included and listed first, yielding the k+1 boundary points that
-    sample one segment of the boundary.
+    sample one segment of the boundary. Failures carry the neighbor's
+    rank as their ``pair_index``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if expand_around not in ("a", "b"):
         raise ValueError(f"expand_around must be 'a' or 'b', got {expand_around!r}")
     if expand_around == "b":
-        anchor, anchor_index = pair.a, pair.index_a
-        hub, hub_index, hub_class = pair.b, pair.index_b, 1
+        anchor_index, hub, hub_index, hub_class = pair.index_a, pair.b, pair.index_b, 1
     else:
-        anchor, anchor_index = pair.b, pair.index_b
-        hub, hub_index, hub_class = pair.a, pair.index_a, 0
+        anchor_index, hub, hub_index, hub_class = pair.index_b, pair.a, pair.index_a, 0
     neighbors = k_nearest(dataset, hub, class_filter=hub_class, k=k + 1)
     if hub_index in neighbors:
         neighbors.remove(hub_index)
         neighbors.insert(0, hub_index)
 
-    f_targets = np.asarray(f(dataset.features[neighbors]), dtype=np.float64)
-    f_anchor = float(np.asarray(f(anchor[None, :]), dtype=np.float64)[0])
-    ok, a_idx, b_idx, failures = [], [], [], []
-    for rank, (row, f_row) in enumerate(zip(neighbors, f_targets)):
-        f_row = float(f_row)
-        if f_anchor < 0.5 <= f_row:
-            lo_i, hi_i = anchor_index, row
-        elif f_row < 0.5 <= f_anchor:
-            lo_i, hi_i = row, anchor_index
-        else:
-            failures.append(CrossingFailure(
-                pair_index=rank, index_a=anchor_index, index_b=row,
-                reason=f"both endpoints on the same side of 0.5 "
-                       f"(f={f_anchor:.6g} and f={f_row:.6g})"))
-            continue
-        ok.append(rank)
-        a_idx.append(lo_i)
-        b_idx.append(hi_i)
-    _check_failure_rate(failures, len(neighbors), "local adversarial set")
-    if len(ok) < 2:
-        raise FailureRateExceeded(
-            f"only {len(ok)} of {len(neighbors)} neighbor crossings succeeded; need at least 2"
-        )
-    A = dataset.features[a_idx]
-    B = dataset.features[b_idx]
-    lam, fval, _, _ = _crossing_kernel(f, A, B, config)
-    points = _interp(lam, A, B)
-    provenance = tuple(
-        ColumnProvenance(pair_index=r, index_a=ia, index_b=ib,
-                         lam=float(l), f_value=float(v))
-        for r, ia, ib, l, v in zip(ok, a_idx, b_idx, lam, fval)
-    )
-    return AdversarialSet(points=points.T, kind="local",
-                          provenance=provenance, failures=tuple(failures))
+    f_rows = np.asarray(f(dataset.features[[anchor_index] + neighbors]), dtype=np.float64)
+    ends = np.column_stack([np.full(len(neighbors), anchor_index), neighbors])
+    f_ends = np.column_stack([np.full(len(neighbors), f_rows[0]), f_rows[1:]])
+    return _crossing_set(f, dataset, ends, f_ends, "local", config)
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

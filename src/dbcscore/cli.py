@@ -38,6 +38,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# score-file metadata that must match for two batches to be comparable
+_SCORING_CONTRACT = ("mode", "k", "epsilon", "method", "center", "divisor_mode",
+                    "expand_around", "scale")
+
 SAME_DATASET_CAVEAT = (
     "DBC scores are meaningless for a single model in isolation and are "
     "comparable only across models trained on the same dataset."
@@ -217,14 +221,19 @@ def cmd_compare(args) -> int:
             "(use --force to override)"
         )
     method = args.test.replace("-", "_")
+    keys = () if args.force else _SCORING_CONTRACT
     if method == "signed_rank":
-        for key in ("seed", "reps"):
-            if meta_a.get(key) != meta_b.get(key):
-                raise StatsError(
-                    f"paired comparison requires both score files to share the same "
-                    f"{key}; got {meta_a.get(key)!r} vs {meta_b.get(key)!r}. "
-                    "Re-score with identical seeds or use --test mann-whitney."
-                )
+        keys += ("seed", "reps")
+    mismatched = [key for key in keys if meta_a.get(key) != meta_b.get(key)]
+    if mismatched:
+        raise StatsError(
+            "score files were scored under different parameters: "
+            + ", ".join(f"{key} {meta_a.get(key)!r} vs {meta_b.get(key)!r}"
+                        for key in mismatched)
+            + ". Re-score with identical parameters; --force overrides all but "
+            "the seed and reps that --test signed-rank pairs by."
+        )
+    if method == "signed_rank":
         by_index_a = {s.pair_index: s.value for s in scores_a}
         by_index_b = {s.pair_index: s.value for s in scores_b}
         shared = sorted(set(by_index_a) & set(by_index_b))
@@ -333,7 +342,7 @@ def build_parser() -> _Parser:
                    default="a_less")
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--force", action="store_true",
-                   help="compare across different dataset hashes")
+                   help="compare across different datasets or scoring parameters")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 

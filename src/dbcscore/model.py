@@ -122,10 +122,6 @@ class MlpModel:
         return (p >= 0.5).astype(np.int64)
 
 
-def parameter_count(model: MlpModel) -> int:
-    return model.parameter_count()
-
-
 def init_model(layer_sizes, seed: int, hidden_activation: str = "relu") -> MlpModel:
     """Glorot-uniform weights in ±sqrt(6/(fan_in+fan_out)), zero biases."""
     rng = np.random.default_rng([seed, 0])

@@ -16,14 +16,16 @@ whenever m is much smaller than n.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .boundary import (AdversarialSet, CrossingConfig, FailureRateExceeded,
-                       global_adversarial_set, local_adversarial_set)
+from .boundary import (MAX_FAILURE_RATE, AdversarialSet, CrossingConfig,
+                       FailureRateExceeded, global_adversarial_set,
+                       local_adversarial_set)
 from .dataset import LabeledDataset, sample_pair
 
 DIVISOR_MODES = ("effective", "paper_n")
@@ -152,30 +154,30 @@ class LocalScore:
     value: float
 
 
-# worker-process state for dbc_local_batch, set once per pool worker
-_WORKER = {}
+# a pool worker's bound _local_score, set once by its initializer
+_pool_task = None
 
 
-def _local_batch_init(f, dataset, k, config, seed, center, divisor_mode,
-                      expand_around):
-    _WORKER.update(f=f, dataset=dataset, k=k, config=config, seed=seed,
-                   center=center, divisor_mode=divisor_mode,
-                   expand_around=expand_around)
+def _set_pool_task(task) -> None:
+    global _pool_task
+    _pool_task = task
 
 
-def _local_batch_task(pair_index: int):
-    w = _WORKER
-    pair = sample_pair(w["dataset"], pair_index, w["seed"])
+def _run_pool_task(pair_index: int):
+    return _pool_task(pair_index)
+
+
+def _local_score(pair_index: int, f, dataset, k, config, seed, center,
+                 divisor_mode, expand_around):
+    """The pair's LocalScore, or the message of its FailureRateExceeded."""
+    pair = sample_pair(dataset, pair_index, seed)
     try:
-        aset = local_adversarial_set(w["f"], w["dataset"], pair, w["k"],
-                                     w["config"], w["expand_around"])
+        aset = local_adversarial_set(f, dataset, pair, k, config, expand_around)
     except FailureRateExceeded as exc:
-        return pair_index, None, str(exc)
-    score = normalized_entropy(eigen_spectrum(aset, w["center"]),
-                               w["divisor_mode"])
-    return pair_index, LocalScore(pair_index=pair_index, k=w["k"],
-                                  sample_count=aset.sample_count,
-                                  value=score.value), None
+        return str(exc)
+    score = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
+    return LocalScore(pair_index=pair_index, k=k,
+                      sample_count=aset.sample_count, value=score.value)
 
 
 def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
@@ -186,35 +188,35 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
 
     The pair sequence depends only on (dataset, reps, seed), so two models
     scored with the same seed see identical pairs and their score lists
-    pair up by index. Work may fan out over ``workers`` processes; each
-    pair is processed whole, so results are identical at any worker count.
-    Scores that fail (too many crossing failures inside one local set) are
-    dropped; more than 10% dropped aborts the batch.
+    pair up by index. Work may fan out over ``workers`` processes, each of
+    which receives ``f`` and ``dataset`` once, when it starts; each pair is
+    processed whole, so results are identical at any worker count. Scores
+    that fail (too many crossing failures inside one local set) are
+    dropped; more than MAX_FAILURE_RATE of them dropped aborts the batch.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    args = (f, dataset, k, config, seed, center, divisor_mode, expand_around)
-    results: list = [None] * reps
+    task = functools.partial(_local_score, f=f, dataset=dataset, k=k,
+                             config=config, seed=seed, center=center,
+                             divisor_mode=divisor_mode,
+                             expand_around=expand_around)
     if workers <= 1:
-        _local_batch_init(*args)
-        for i in range(reps):
-            results[i] = _local_batch_task(i)
+        results = list(map(task, range(reps)))
     else:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers,
-                                    initializer=_local_batch_init,
-                                    initargs=args) as pool:
-            chunk = max(1, reps // (workers * 8))
-            for out in pool.map(_local_batch_task, range(reps), chunksize=chunk):
-                results[out[0]] = out
-    scores = [r[1] for r in results if r[1] is not None]
-    failures = [(r[0], r[2]) for r in results if r[1] is None]
-    if reps and len(failures) / reps > 0.10:
+                                    initializer=_set_pool_task,
+                                    initargs=(task,)) as pool:
+            results = list(pool.map(_run_pool_task, range(reps),
+                                    chunksize=max(1, reps // (workers * 8))))
+    failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
+    if len(failures) / reps > MAX_FAILURE_RATE:
         raise FailureRateExceeded(
-            f"{len(failures)} of {reps} local scores failed (> 10%). "
+            f"{len(failures)} of {reps} local scores failed "
+            f"(> {MAX_FAILURE_RATE:.0%}). "
             f"First failure at pair {failures[0][0]}: {failures[0][1]}"
         )
-    return scores
+    return [r for r in results if isinstance(r, LocalScore)]
 
 
 def save_score_batch(path, scores: list[LocalScore], metadata: dict) -> None:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dbcscore import (CrossingConfig, CrossingError, FailureRateExceeded,
-                      LabeledDataset, find_crossing, global_adversarial_set,
+                      LabeledDataset, dbc_global, dbc_local_batch,
+                      find_crossing, global_adversarial_set, k_nearest,
                       local_adversarial_set, make_blobs, sample_pair,
-                      save_adversarial_set)
+                      sample_pairs, save_adversarial_set)
+from dbcscore.boundary import CrossingFailure
 from tests.conftest import make_zigzag_model
 
 
@@ -250,6 +252,94 @@ class TestLocalSet:
         pair = sample_pair(ds, 0, seed=0)
         with pytest.raises(Exception, match="exceeds|population"):
             local_adversarial_set(f, ds, pair, k=3)
+
+
+def flip_row(features, row):
+    """sigmoid(4 x0), except that the given dataset row sits on the other
+    side of 0.5."""
+    target = features[row]
+
+    def f(points):
+        points = np.atleast_2d(points)
+        p = 1.0 / (1.0 + np.exp(-4.0 * points[:, 0]))
+        return np.where((points == target).all(axis=1), 1.0 - p, p)
+
+    return f
+
+
+@pytest.mark.parametrize("kind", ["global", "local"])
+def test_same_side_failure_shape(blobs_2d, kind):
+    """A same-side segment becomes the same CrossingFailure in either set:
+    its position among the segments, its ends as listed, one reason text."""
+    if kind == "global":
+        pairs = sample_pairs(blobs_2d, 60, seed=3)
+        ends = [(p.index_a, p.index_b) for p in pairs]
+        f = flip_row(blobs_2d.features, pairs[7].index_b)
+        aset = global_adversarial_set(f, blobs_2d, reps=60, seed=3)
+    else:
+        pair = sample_pair(blobs_2d, 0, seed=3)
+        neighbors = k_nearest(blobs_2d, pair.b, class_filter=1, k=31)
+        assert neighbors[0] == pair.index_b
+        ends = [(pair.index_a, row) for row in neighbors]
+        f = flip_row(blobs_2d.features, neighbors[7])
+        aset = local_adversarial_set(f, blobs_2d, pair, k=30)
+    expected = []
+    for i, (ia, ib) in enumerate(ends):
+        fa, fb = f(blobs_2d.features[[ia, ib]])
+        if (fa < 0.5) == (fb < 0.5):
+            expected.append(CrossingFailure(
+                pair_index=i, index_a=ia, index_b=ib,
+                reason=f"both endpoints on the same side of 0.5 (f={fa:.6g} and f={fb:.6g})"))
+    assert 7 in [x.pair_index for x in expected]
+    assert aset.failures == tuple(expected)
+    failed = {x.pair_index for x in expected}
+    assert [p.pair_index for p in aset.provenance] == \
+           [i for i in range(len(ends)) if i not in failed]
+
+
+def nan_band(points):
+    """sigmoid(4 x0), but NaN where |x0| < 1."""
+    x0 = np.atleast_2d(points)[:, 0]
+    return np.where(np.abs(x0) < 1.0, np.nan, 1.0 / (1.0 + np.exp(-4.0 * x0)))
+
+
+def infinite_left_end(points):
+    """sigmoid(4 x0), but -inf where x0 < -4."""
+    x0 = np.atleast_2d(points)[:, 0]
+    return np.where(x0 < -4.0, -np.inf, 1.0 / (1.0 + np.exp(-4.0 * x0)))
+
+
+class TestNonFiniteDecisionValues:
+    @pytest.mark.parametrize("f", [nan_band, infinite_left_end])
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_find_crossing_raises(self, f, method):
+        with pytest.raises(CrossingError, match="non-finite"):
+            find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 1.0]),
+                          CrossingConfig(method=method))
+
+    def test_global_score_fails(self, blobs_2d):
+        with pytest.raises(FailureRateExceeded, match="non-finite"):
+            dbc_global(nan_band, blobs_2d, reps=400, seed=42)
+
+    def test_local_batch_fails(self, blobs_2d):
+        with pytest.raises(FailureRateExceeded, match="non-finite"):
+            dbc_local_batch(nan_band, blobs_2d, reps=50, k=8)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_endpoint_is_a_failure(self, blobs_2d, linear_model_2d, value):
+        pairs = sample_pairs(blobs_2d, 40, seed=1)
+        bad = blobs_2d.features[pairs[5].index_a]
+
+        def f(points):
+            points = np.atleast_2d(points)
+            values = linear_model_2d(points)
+            return np.where((points == bad).all(axis=1), value, values)
+
+        aset = global_adversarial_set(f, blobs_2d, reps=40, seed=1)
+        assert 5 in [x.pair_index for x in aset.failures]
+        assert all(x.reason.startswith("non-finite decision value at an endpoint")
+                   for x in aset.failures)
+        assert np.isfinite([p.f_value for p in aset.provenance]).all()
 
 
 class TestExport:

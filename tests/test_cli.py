@@ -169,7 +169,22 @@ class TestCompare:
                     "--reps", 120, "--seed", 22, "--out", other]) == 0
         code = run(["compare", "--a", score_files["simple"], "--b", other])
         assert code == 2
-        assert "seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the other file also keeps the default epsilon; one message names both
+        assert "seed" in err and "epsilon" in err
+
+    def test_scoring_contract_refused_without_force(self, workspace, capsys):
+        files = []
+        for k in (3, 20):
+            out = workspace["root"] / f"contract_k{k}.csv"
+            assert run(["score", "--model", workspace["simple"], "--data",
+                        workspace["data"], "--mode", "local", "--k", k,
+                        "--reps", 40, "--seed", 21, "--out", out]) == 0
+            files += ["--a" if k == 3 else "--b", out]
+        for test in ("signed-rank", "mann-whitney"):
+            assert run(["compare", *files, "--test", test]) == 2
+            assert "k '3' vs '20'" in capsys.readouterr().err
+            assert run(["compare", *files, "--test", test, "--force"]) == 0
 
     def test_dataset_mismatch_refused_without_force(self, workspace,
                                                     score_files, capsys):

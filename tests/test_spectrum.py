@@ -5,7 +5,8 @@ import pytest
 
 from dbcscore import (CrossingConfig, EigenSpectrum, SpectrumError, dbc_global,
                       dbc_local_batch, eigen_spectrum, load_score_batch,
-                      normalized_entropy, save_score_batch)
+                      local_adversarial_set, normalized_entropy, sample_pair,
+                      save_score_batch)
 from dbcscore.spectrum import LocalScore
 from tests.conftest import make_zigzag_model
 
@@ -240,6 +241,34 @@ class TestComposedScores:
                                    seed=2, workers=4)
         assert [(s.pair_index, s.value) for s in serial] == \
                [(s.pair_index, s.value) for s in parallel]
+
+    def test_workers_accept_a_closure(self, blobs_2d):
+        """A locally defined callable, which pickle refuses, still scores
+        on a pool and matches the serial batch."""
+        zigzag = make_zigzag_model()
+        serial = dbc_local_batch(zigzag, blobs_2d, reps=12, k=4, seed=2)
+        parallel = dbc_local_batch(zigzag, blobs_2d, reps=12, k=4, seed=2,
+                                   workers=2)
+        assert serial == parallel
+
+    @pytest.mark.parametrize("center,divisor_mode,expand_around",
+                             [(True, "effective", "b"), (False, "paper_n", "a")])
+    def test_local_batch_scores_each_local_set(self, blobs_2d, center,
+                                               divisor_mode, expand_around):
+        """Every batch score is the entropy of its pair's local set, bit
+        for bit."""
+        zigzag = make_zigzag_model()
+        config = CrossingConfig(epsilon=1 / 1024)
+        scores = dbc_local_batch(zigzag, blobs_2d, reps=30, k=6, config=config,
+                                 seed=7, center=center, divisor_mode=divisor_mode,
+                                 expand_around=expand_around)
+        assert [s.pair_index for s in scores] == list(range(30))
+        for s in scores:
+            aset = local_adversarial_set(zigzag, blobs_2d,
+                                         sample_pair(blobs_2d, s.pair_index, 7),
+                                         6, config, expand_around)
+            expected = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
+            assert (s.k, s.sample_count, s.value) == (6, aset.sample_count, expected.value)
 
     def test_k_sweep_batches(self, blobs_2d, linear_model_2d):
         for k in (3, 5, 10):
