@@ -5,10 +5,14 @@ a point ``c = lam*a + (1-lam)*b`` with ``f(c)`` as close to 0.5 as the
 configured precision allows. Crossings for a whole batch of segments are
 driven in lockstep so that construction cost is dominated by batched
 forward passes, while each segment's result is identical to what a lone
-``find_crossing`` call produces for it.
+``find_crossing`` call produces for it. A global set, a local set and a
+block of local sets are all one stack of segment lists through that one
+batch: orientation and the failure rules apply per set.
 
 Decision functions must accept a 2-D array of rows and return a 1-D array
-of values in [0, 1]; ``MlpModel`` instances satisfy this directly.
+of values in [0, 1]; ``MlpModel`` instances satisfy this directly. They
+must neither write nor keep the rows they are given: the bisection
+reuses one buffer for the midpoints of every step.
 """
 
 from __future__ import annotations
@@ -142,13 +146,23 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
     lam = np.full(m, 0.5)
     fval = np.full(m, np.nan)
     done = np.zeros(m, dtype=bool)
+    # the midpoints of every step go into these two buffers: multiply,
+    # multiply, add gives the same bits as _interp
+    X = np.empty_like(A)
+    Y = np.empty_like(B)
     iters = math.ceil(math.log2(1.0 / config.epsilon))
     for _ in range(iters):
         active = np.flatnonzero(~done)
-        if active.size == 0:
+        n = active.size
+        if n == 0:
             break
         mid = 0.5 * (lo[active] + hi[active])
-        fm = np.asarray(f(_interp(mid, A[active], B[active])), dtype=np.float64)
+        a, b = (A, B) if n == m else (A[active], B[active])
+        x, y = X[:n], Y[:n]
+        np.multiply(mid[:, None], a, out=x)
+        np.multiply(1.0 - mid[:, None], b, out=y)
+        x += y
+        fm = np.asarray(f(x), dtype=np.float64)
         g = fm - 0.5
         lam[active] = mid
         fval[active] = fm
@@ -252,70 +266,94 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _crossing_set(f, dataset: LabeledDataset, ends, f_ends, kind: str,
-                  config: CrossingConfig) -> AdversarialSet:
-    """One crossing per segment between dataset rows, columns in order.
+def _crossing_sets(f, dataset: LabeledDataset, ends, f_ends, kind: str,
+                   config: CrossingConfig) -> list:
+    """One crossing set per row of ``ends``, columns in segment order.
 
-    ``ends`` holds one (row, row) index pair per segment and ``f_ends``
-    the f-values at those rows. Orientation ignores labels: whichever end
-    f puts strictly below 0.5 becomes the A side. A segment whose ends f
-    puts on the same side, or whose f-value is non-finite at an end or at
-    the located crossing, is recorded as a CrossingFailure at its position
-    in ``ends``. More than MAX_FAILURE_RATE failures, or fewer than two
-    crossings, abort the set.
+    ``ends`` holds one (row, row) index pair per segment of each set, shape
+    (sets, segments, 2), and ``f_ends`` the f-values at those rows.
+    Orientation ignores labels: whichever end f puts strictly below 0.5
+    becomes the A side. A segment whose ends f puts on the same side, or
+    whose f-value is non-finite at an end or at the located crossing, is
+    recorded as a CrossingFailure at its position in its set. More than
+    MAX_FAILURE_RATE failures, or fewer than two crossings, abort a set.
+    Every set that passes its endpoint checks goes through one
+    ``_crossing_kernel`` call. Returns, per set, its AdversarialSet or the
+    FailureRateExceeded that aborted it.
     """
     ends = np.asarray(ends, dtype=np.int64)
     f_ends = np.asarray(f_ends, dtype=np.float64)
-    finite_ends = np.isfinite(f_ends).all(axis=1)
-    forward = finite_ends & (f_ends[:, 0] < 0.5) & (f_ends[:, 1] >= 0.5)
-    backward = finite_ends & (f_ends[:, 1] < 0.5) & (f_ends[:, 0] >= 0.5)
+    segments = ends.shape[1]
+    finite_ends = np.isfinite(f_ends).all(axis=2)
+    forward = finite_ends & (f_ends[..., 0] < 0.5) & (f_ends[..., 1] >= 0.5)
+    backward = finite_ends & (f_ends[..., 1] < 0.5) & (f_ends[..., 0] >= 0.5)
     crossed = forward | backward
-    ok = np.flatnonzero(crossed)
-    oriented = np.where(backward[:, None], ends[:, ::-1], ends)
+    oriented = np.where(backward[..., None], ends[..., ::-1], ends)
 
-    def failure(i, reason):
-        fa, fb = f_ends[i]
-        return CrossingFailure(pair_index=int(i), index_a=int(ends[i, 0]),
-                               index_b=int(ends[i, 1]),
+    def failure(s, i, reason):
+        fa, fb = f_ends[s, i]
+        return CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
+                               index_b=int(ends[s, i, 1]),
                                reason=f"{reason} (f={fa:.6g} and f={fb:.6g})")
 
-    failures = [failure(i, "both endpoints on the same side of 0.5"
-                        if finite_ends[i]
-                        else "non-finite decision value at an endpoint")
-                for i in np.flatnonzero(~crossed)]
-    _check_failures(failures, len(ends), ok.size, kind)
-    A = dataset.features[oriented[ok, 0]]
-    B = dataset.features[oriented[ok, 1]]
-    lam, fval, _, _ = _crossing_kernel(f, A, B, config)
-    finite = np.isfinite(fval)
-    if not finite.all():
-        failures = sorted(failures + [
-            failure(ok[j], f"non-finite decision value at lam={lam[j]:.6g}")
-            for j in np.flatnonzero(~finite)], key=lambda x: x.pair_index)
-        _check_failures(failures, len(ends), int(finite.sum()), kind)
-        ok, A, B, lam, fval = ok[finite], A[finite], B[finite], lam[finite], fval[finite]
-    points = _interp(lam, A, B)
-    provenance = tuple(
-        ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
-        for i, (ia, ib), l, v in zip(ok.tolist(), oriented[ok].tolist(),
-                                     lam.tolist(), fval.tolist())
-    )
-    return AdversarialSet(points=points.T, kind=kind, provenance=provenance,
-                          failures=tuple(failures))
+    failures = [[failure(s, i, "both endpoints on the same side of 0.5"
+                         if finite_ends[s, i]
+                         else "non-finite decision value at an endpoint")
+                 for i in np.flatnonzero(~crossed[s])]
+                for s in range(len(ends))]
+    results = [_abort(failures[s], segments, int(crossed[s].sum()), kind)
+               for s in range(len(ends))]
+    live = np.array([r is None for r in results], dtype=bool)
+    A_all, B_all = (dataset.features[oriented[crossed & live[:, None]][:, side]]
+                    for side in (0, 1))
+    lam_all, fval_all, _, _ = _crossing_kernel(f, A_all, B_all, config)
+    stop = 0
+    for s in np.flatnonzero(live):
+        ok = np.flatnonzero(crossed[s])
+        start, stop = stop, stop + ok.size
+        A, B = A_all[start:stop], B_all[start:stop]
+        lam, fval = lam_all[start:stop], fval_all[start:stop]
+        fails = failures[s]
+        finite = np.isfinite(fval)
+        if not finite.all():
+            fails = sorted(fails + [
+                failure(s, ok[j], f"non-finite decision value at lam={lam[j]:.6g}")
+                for j in np.flatnonzero(~finite)], key=lambda x: x.pair_index)
+            results[s] = _abort(fails, segments, int(finite.sum()), kind)
+            if results[s] is not None:
+                continue
+            ok, A, B, lam, fval = ok[finite], A[finite], B[finite], lam[finite], fval[finite]
+        points = _interp(lam, A, B)
+        provenance = tuple(
+            ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
+            for i, (ia, ib), l, v in zip(ok.tolist(), oriented[s, ok].tolist(),
+                                         lam.tolist(), fval.tolist())
+        )
+        results[s] = AdversarialSet(points=points.T, kind=kind, provenance=provenance,
+                                    failures=tuple(fails))
+    return results
 
 
-def _check_failures(failures, attempted, crossings, kind):
+def _abort(failures, attempted, crossings, kind):
+    """The FailureRateExceeded that aborts a set, or None if it stands."""
     if len(failures) / attempted > MAX_FAILURE_RATE:
-        raise FailureRateExceeded(
+        return FailureRateExceeded(
             f"{len(failures)} of {attempted} crossings failed while building the "
             f"{kind} adversarial set; the failure rate exceeds {MAX_FAILURE_RATE:.0%}. "
             "First failure: " + failures[0].reason
         )
     if crossings < 2:
-        raise FailureRateExceeded(
+        return FailureRateExceeded(
             f"only {crossings} of {attempted} crossings succeeded while building "
             f"the {kind} adversarial set; need at least 2"
         )
+    return None
+
+
+def _one_set(results) -> AdversarialSet:
+    if isinstance(results[0], FailureRateExceeded):
+        raise results[0]
+    return results[0]
 
 
 def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
@@ -331,7 +369,37 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
         raise ValueError(f"reps must be >= 2 for a global set, got {reps}")
     ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
-    return _crossing_set(f, dataset, ends, f_rows[ends], "global", config)
+    return _one_set(_crossing_sets(f, dataset, ends[None], f_rows[ends][None],
+                                   "global", config))
+
+
+def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
+    """Segment ends of each pair's local set, shape (pairs, k+1, 2).
+
+    Each row pairs the anchor with one of the k+1 nearest same-class
+    neighbors of the expanded endpoint (the hub), the hub itself first.
+    Pairs that share a hub share one k_nearest call.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if expand_around not in ("a", "b"):
+        raise ValueError(f"expand_around must be 'a' or 'b', got {expand_around!r}")
+    hub_class = 1 if expand_around == "b" else 0
+    neighbors = {}
+    ends = np.empty((len(pairs), k + 1, 2), dtype=np.int64)
+    for j, pair in enumerate(pairs):
+        anchor, hub = ((pair.index_a, pair.index_b) if expand_around == "b"
+                       else (pair.index_b, pair.index_a))
+        if hub not in neighbors:
+            rows = k_nearest(dataset, dataset.features[hub], class_filter=hub_class,
+                             k=k + 1)
+            if hub in rows:
+                rows.remove(hub)
+                rows.insert(0, hub)
+            neighbors[hub] = rows
+        ends[j, :, 0] = anchor
+        ends[j, :, 1] = neighbors[hub]
+    return ends
 
 
 def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
@@ -345,23 +413,11 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     sample one segment of the boundary. Failures carry the neighbor's
     rank as their ``pair_index``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if expand_around not in ("a", "b"):
-        raise ValueError(f"expand_around must be 'a' or 'b', got {expand_around!r}")
-    if expand_around == "b":
-        anchor_index, hub, hub_index, hub_class = pair.index_a, pair.b, pair.index_b, 1
-    else:
-        anchor_index, hub, hub_index, hub_class = pair.index_b, pair.a, pair.index_a, 0
-    neighbors = k_nearest(dataset, hub, class_filter=hub_class, k=k + 1)
-    if hub_index in neighbors:
-        neighbors.remove(hub_index)
-        neighbors.insert(0, hub_index)
-
-    f_rows = np.asarray(f(dataset.features[[anchor_index] + neighbors]), dtype=np.float64)
-    ends = np.column_stack([np.full(len(neighbors), anchor_index), neighbors])
-    f_ends = np.column_stack([np.full(len(neighbors), f_rows[0]), f_rows[1:]])
-    return _crossing_set(f, dataset, ends, f_ends, "local", config)
+    ends = _local_ends(dataset, [pair], k, expand_around)
+    rows, inverse = np.unique(ends, return_inverse=True)
+    f_rows = np.asarray(f(dataset.features[rows]), dtype=np.float64)
+    return _one_set(_crossing_sets(f, dataset, ends, f_rows[inverse.reshape(ends.shape)],
+                                   "local", config))
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

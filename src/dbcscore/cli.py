@@ -214,6 +214,12 @@ def cmd_compare(args) -> int:
     scores_b, meta_b = load_score_batch(args.b)
     if not scores_a or not scores_b:
         raise StatsError("score files must contain at least one score each")
+    for path, meta in ((args.a, meta_a), (args.b, meta_b)):
+        if meta.get("mode") == "global":
+            raise StatsError(
+                f"{path} holds one global score, which no rank test can compare, "
+                "even with --force; compare local score files (--mode local)"
+            )
     if meta_a.get("dataset_sha256") != meta_b.get("dataset_sha256") and not args.force:
         raise StatsError(
             "score files come from different datasets; DBC scores are only "

@@ -93,9 +93,10 @@ class MlpModel:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def _hidden(self, z):
+        # in place: callers pass a fresh pre-activation array
         if self.hidden_activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
+            return np.maximum(z, 0.0, out=z)
+        return np.tanh(z, out=z)
 
     def forward(self, x):
         """Evaluation-mode forward pass; dropout never applies here."""
@@ -108,10 +109,16 @@ class MlpModel:
             )
         if not np.isfinite(batch).all():
             raise ModelError("non-finite input to forward pass")
+        # the bias and activation work in place on each matmul output: the
+        # bits of h @ w.T + b without its temporary, and batch is never written
         h = batch
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = self._hidden(h @ w.T + b)
-        p = sigmoid(h @ self.weights[-1].T + self.biases[-1])[:, 0]
+            h = h @ w.T
+            h += b
+            h = self._hidden(h)
+        z = h @ self.weights[-1].T
+        z += self.biases[-1]
+        p = sigmoid(z)[:, 0]
         return float(p[0]) if single else p
 
     __call__ = forward

@@ -11,11 +11,17 @@ second moment, in which case the mean direction of an off-origin cloud
 dominates the spectrum. The divisor is min(n, m) by default ("effective");
 ``paper_n`` divides by log n instead, which caps scores well below 1
 whenever m is much smaller than n.
+
+A local batch scores its pairs in fixed blocks: each block's local sets
+share one crossing-kernel call, and each set keeps its own spectrum and
+score, so a score never depends on the block, the batch length or the
+worker count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -24,8 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import (MAX_FAILURE_RATE, AdversarialSet, CrossingConfig,
-                       FailureRateExceeded, global_adversarial_set,
-                       local_adversarial_set)
+                       FailureRateExceeded, _crossing_sets, _local_ends,
+                       global_adversarial_set)
+# dbcbench/tracing.py wraps this name here; the batch itself never calls it
+from .boundary import local_adversarial_set  # noqa: F401
 from .dataset import LabeledDataset, sample_pair
 
 DIVISOR_MODES = ("effective", "paper_n")
@@ -154,30 +162,51 @@ class LocalScore:
     value: float
 
 
-# a pool worker's bound _local_score, set once by its initializer
+# a pool worker's bound _score_block, set once by its initializer
 _pool_task = None
 
 
 def _set_pool_task(task) -> None:
     global _pool_task
     _pool_task = task
+    _pin_blas_threads()
 
 
-def _run_pool_task(pair_index: int):
-    return _pool_task(pair_index)
+def _run_pool_task(start: int):
+    return _pool_task(start)
 
 
-def _local_score(pair_index: int, f, dataset, k, config, seed, center,
-                 divisor_mode, expand_around):
-    """The pair's LocalScore, or the message of its FailureRateExceeded."""
-    pair = sample_pair(dataset, pair_index, seed)
-    try:
-        aset = local_adversarial_set(f, dataset, pair, k, config, expand_around)
-    except FailureRateExceeded as exc:
-        return str(exc)
-    score = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
-    return LocalScore(pair_index=pair_index, k=k,
-                      sample_count=aset.sample_count, value=score.value)
+def _pin_blas_threads() -> None:
+    """Run this worker's BLAS on one thread, so that the workers of a pool
+    do not oversubscribe the cores between them. Does nothing where numpy
+    does not bundle scipy-openblas."""
+    for path in Path(np.__file__).parent.with_name("numpy.libs").glob(
+            "libscipy_openblas64_*"):
+        try:
+            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        return
+
+
+def _score_block(start: int, f, dataset, ends, f_rows, block, k, config, center,
+                 divisor_mode):
+    """LocalScores of pairs start .. start+block-1; a pair whose local set
+    aborts gets the message of its FailureRateExceeded instead."""
+    ends = ends[start:start + block]
+    results = []
+    for i, aset in enumerate(_crossing_sets(f, dataset, ends, f_rows[ends], "local",
+                                            config), start):
+        if isinstance(aset, FailureRateExceeded):
+            results.append(str(aset))
+            continue
+        score = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
+        results.append(LocalScore(pair_index=i, k=k, sample_count=aset.sample_count,
+                                  value=score.value))
+    return results
 
 
 def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
@@ -188,27 +217,40 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
 
     The pair sequence depends only on (dataset, reps, seed), so two models
     scored with the same seed see identical pairs and their score lists
-    pair up by index. Work may fan out over ``workers`` processes, each of
-    which receives ``f`` and ``dataset`` once, when it starts; each pair is
-    processed whole, so results are identical at any worker count. Scores
-    that fail (too many crossing failures inside one local set) are
+    pair up by index. f is evaluated once on every dataset row, for the
+    segment ends, and k_nearest once per distinct hub row. Pair i then
+    goes to block i // P, where P = min(32, max(1, 2**19 // ((k+1) *
+    dimension))) depends only on k and the dimension; each block's
+    segments go through one crossing-kernel call, and each pair's set
+    gets its own spectrum. Blocks may fan out over ``workers`` processes,
+    each of which receives ``f`` and ``dataset`` once, when it starts and
+    pins its BLAS to one thread; since a block's rows never depend on
+    ``workers`` or ``reps``, results are identical at any worker count.
+    Scores that fail (too many crossing failures inside one local set) are
     dropped; more than MAX_FAILURE_RATE of them dropped aborts the batch.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    task = functools.partial(_local_score, f=f, dataset=dataset, k=k,
-                             config=config, seed=seed, center=center,
-                             divisor_mode=divisor_mode,
-                             expand_around=expand_around)
+    pairs = [sample_pair(dataset, i, seed) for i in range(reps)]
+    ends = _local_ends(dataset, pairs, k, expand_around)
+    f_rows = np.asarray(f(dataset.features), dtype=np.float64)
+    # larger blocks ran no faster; the row budget keeps a wide block's
+    # buffers below the memory of a global set
+    block = min(32, max(1, 2 ** 19 // ((k + 1) * dataset.dimension)))
+    task = functools.partial(_score_block, f=f, dataset=dataset, ends=ends,
+                             f_rows=f_rows, block=block, k=k, config=config,
+                             center=center, divisor_mode=divisor_mode)
+    starts = range(0, reps, block)
     if workers <= 1:
-        results = list(map(task, range(reps)))
+        blocks = map(task, starts)
     else:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=workers,
                                     initializer=_set_pool_task,
                                     initargs=(task,)) as pool:
-            results = list(pool.map(_run_pool_task, range(reps),
-                                    chunksize=max(1, reps // (workers * 8))))
+            blocks = list(pool.map(_run_pool_task, starts,
+                                   chunksize=max(1, len(starts) // (workers * 8))))
+    results = [r for scores in blocks for r in scores]
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
     if len(failures) / reps > MAX_FAILURE_RATE:
         raise FailureRateExceeded(

@@ -8,7 +8,7 @@ from dbcscore import (CrossingConfig, CrossingError, FailureRateExceeded,
                       find_crossing, global_adversarial_set, k_nearest,
                       local_adversarial_set, make_blobs, sample_pair,
                       sample_pairs, save_adversarial_set)
-from dbcscore.boundary import CrossingFailure
+from dbcscore.boundary import CrossingFailure, _crossing_kernel
 from tests.conftest import make_zigzag_model
 
 
@@ -144,6 +144,32 @@ class TestFindCrossing:
         assert c.f_value == 0.5
         assert c.lam_lo == c.lam_hi == 0.5
         assert counter.rows == 3  # two endpoints plus the single midpoint
+
+    def test_exact_hit_mid_run_keeps_the_other_segments_exact(self):
+        """A segment that hits f == 0.5 at the third midpoint leaves the
+        batch, so later steps run on the remaining segments alone; every
+        segment still equals its lone find_crossing."""
+        t = np.array([0.3, 0.375, 0.71, 0.123])
+        A = np.column_stack([np.ones(4), t])
+        B = np.column_stack([np.zeros(4), t])
+
+        def f(points):
+            points = np.atleast_2d(points)
+            return np.clip(0.5 + points[:, 1] - points[:, 0], 0.0, 1.0)
+
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return f(points)
+
+        config = CrossingConfig(epsilon=1 / 1024)
+        lam, fval, lo, hi = _crossing_kernel(counted, A, B, config)
+        assert calls == [4, 4, 4] + [3] * 7
+        assert lam[1] == lo[1] == hi[1] == 0.375 and fval[1] == 0.5
+        for i in range(4):
+            c = find_crossing(f, A[i], B[i], config)
+            assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
 
     def test_tolerance_on_f_early_exit(self):
         a, b = np.array([1.0]), np.array([0.0])

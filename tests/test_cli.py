@@ -186,6 +186,22 @@ class TestCompare:
             assert "k '3' vs '20'" in capsys.readouterr().err
             assert run(["compare", *files, "--test", test, "--force"]) == 0
 
+    def test_global_score_files_refused(self, workspace, score_files, capsys):
+        files = {}
+        for tag in ("simple", "complex"):
+            files[tag] = workspace["root"] / f"{tag}_global.csv"
+            assert run(["score", "--model", workspace[tag], "--data",
+                        workspace["data"], "--mode", "global", "--reps", 120,
+                        "--seed", 21, "--out", files[tag]]) == 0
+        pairs = ((files["simple"], files["complex"]),
+                 (score_files["simple"], files["complex"]))
+        for a, b in pairs:
+            for test in ("signed-rank", "mann-whitney"):
+                for force in ((), ("--force",)):
+                    assert run(["compare", "--a", a, "--b", b, "--test", test,
+                                *force]) == 2
+                    assert "global score" in capsys.readouterr().err
+
     def test_dataset_mismatch_refused_without_force(self, workspace,
                                                     score_files, capsys):
         data2 = workspace["root"] / "blobs2.csv"

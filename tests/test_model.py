@@ -54,6 +54,22 @@ class TestForward:
             x = rng.normal(size=3)
             assert abs(model(x) - loop_forward(model, x)) <= 1e-12
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_matches_matrix_expression_bitwise(self, activation):
+        """The in-place forward gives the bits of the plain expression and
+        never writes its (read-only) input."""
+        model = init_model([5, 7, 6, 1], seed=31, hidden_activation=activation)
+        hidden = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
+        X = np.random.default_rng(31).normal(size=(40, 5))
+        X.setflags(write=False)
+        before = X.copy()
+        h = X
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            h = hidden(h @ w.T + b)
+        expected = sigmoid(h @ model.weights[-1].T + model.biases[-1])[:, 0]
+        np.testing.assert_array_equal(model(X), expected)
+        np.testing.assert_array_equal(X, before)
+
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(2)
         model = init_model([6, 8, 1], seed=2)

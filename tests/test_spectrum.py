@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dbcscore import (CrossingConfig, EigenSpectrum, SpectrumError, dbc_global,
-                      dbc_local_batch, eigen_spectrum, load_score_batch,
-                      local_adversarial_set, normalized_entropy, sample_pair,
-                      save_score_batch)
+from dbcscore import (CrossingConfig, EigenSpectrum, SpectrumError, TrainConfig,
+                      dbc_global, dbc_local_batch, eigen_spectrum,
+                      load_score_batch, local_adversarial_set, make_blobs,
+                      normalized_entropy, sample_pair, save_score_batch, train)
 from dbcscore.spectrum import LocalScore
 from tests.conftest import make_zigzag_model
 
@@ -250,6 +250,35 @@ class TestComposedScores:
         parallel = dbc_local_batch(zigzag, blobs_2d, reps=12, k=4, seed=2,
                                    workers=2)
         assert serial == parallel
+
+    def test_blocks_fix_the_scores_of_a_blas_backed_model(self):
+        """Pairs are scored in blocks whose rows depend on neither reps nor
+        workers, so a trained net, whose BLAS-backed rows need not keep
+        their bits across batch sizes, scores each pair the same way in
+        any batch, and drops the same pairs at any worker count."""
+        ds = make_blobs(per_class=60, dimension=2, center_distance=4.0,
+                        spread=1.0, seed=11)
+        net, _ = train(ds, [2, 16, 16, 1], TrainConfig(epochs=60, learning_rate=0.01,
+                                                       seed=0))
+        config = CrossingConfig(epsilon=1 / 1024)
+        rows = {}
+        for reps in (32, 64):
+            rows[reps] = []
+
+            def counted(x, seen=rows[reps]):
+                seen.append(len(x))
+                return net(x)
+
+            dbc_local_batch(counted, ds, reps=reps, k=4, config=config, seed=4)
+        # the first block, and so every f call it makes, is the same
+        assert rows[64][:len(rows[32])] == rows[32] and len(rows[64]) > len(rows[32])
+        short = dbc_local_batch(net, ds, reps=32, k=4, config=config, seed=4)
+        long = dbc_local_batch(net, ds, reps=64, k=4, config=config, seed=4, workers=2)
+        assert [s for s in long if s.pair_index < 32] == short
+        serial = dbc_local_batch(net, ds, reps=45, k=4, config=config, seed=4)
+        assert 0 < 45 - len(serial) <= 4
+        assert dbc_local_batch(net, ds, reps=45, k=4, config=config, seed=4,
+                               workers=3) == serial
 
     @pytest.mark.parametrize("center,divisor_mode,expand_around",
                              [(True, "effective", "b"), (False, "paper_n", "a")])
