@@ -278,8 +278,10 @@ def _crossing_sets(f, dataset: LabeledDataset, ends, f_ends, kind: str,
     recorded as a CrossingFailure at its position in its set. More than
     MAX_FAILURE_RATE failures, or fewer than two crossings, abort a set.
     Every set that passes its endpoint checks goes through one
-    ``_crossing_kernel`` call. Returns, per set, its AdversarialSet or the
-    FailureRateExceeded that aborted it.
+    ``_crossing_kernel`` call. Returns, per set, the FailureRateExceeded
+    that aborted it or a tuple (points, columns, failures): the crossings
+    as rows, and the segment positions, oriented ends, lam and f-values of
+    the columns, from which ``_one_set`` builds the provenance.
     """
     ends = np.asarray(ends, dtype=np.int64)
     f_ends = np.asarray(f_ends, dtype=np.float64)
@@ -323,14 +325,7 @@ def _crossing_sets(f, dataset: LabeledDataset, ends, f_ends, kind: str,
             if results[s] is not None:
                 continue
             ok, A, B, lam, fval = ok[finite], A[finite], B[finite], lam[finite], fval[finite]
-        points = _interp(lam, A, B)
-        provenance = tuple(
-            ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
-            for i, (ia, ib), l, v in zip(ok.tolist(), oriented[s, ok].tolist(),
-                                         lam.tolist(), fval.tolist())
-        )
-        results[s] = AdversarialSet(points=points.T, kind=kind, provenance=provenance,
-                                    failures=tuple(fails))
+        results[s] = (_interp(lam, A, B), (ok, oriented[s, ok], lam, fval), tuple(fails))
     return results
 
 
@@ -350,10 +345,19 @@ def _abort(failures, attempted, crossings, kind):
     return None
 
 
-def _one_set(results) -> AdversarialSet:
+def _one_set(results, kind: str) -> AdversarialSet:
+    """The AdversarialSet, with provenance, of a one-set ``_crossing_sets``
+    result; raises the FailureRateExceeded that aborted the set."""
     if isinstance(results[0], FailureRateExceeded):
         raise results[0]
-    return results[0]
+    points, (positions, ends, lam, fval), failures = results[0]
+    provenance = tuple(
+        ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
+        for i, (ia, ib), l, v in zip(positions.tolist(), ends.tolist(), lam.tolist(),
+                                     fval.tolist())
+    )
+    return AdversarialSet(points=points.T, kind=kind, provenance=provenance,
+                          failures=failures)
 
 
 def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
@@ -370,7 +374,7 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
     ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
     return _one_set(_crossing_sets(f, dataset, ends[None], f_rows[ends][None],
-                                   "global", config))
+                                   "global", config), "global")
 
 
 def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
@@ -417,7 +421,7 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     rows, inverse = np.unique(ends, return_inverse=True)
     f_rows = np.asarray(f(dataset.features[rows]), dtype=np.float64)
     return _one_set(_crossing_sets(f, dataset, ends, f_rows[inverse.reshape(ends.shape)],
-                                   "local", config))
+                                   "local", config), "local")
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

@@ -164,6 +164,9 @@ def cmd_score(args) -> int:
         raise UsageError("--k is required for local mode")
     if args.reps is not None and args.reps < 1:
         raise UsageError("--reps must be positive")
+    workers = args.workers if args.workers is not None else int(os.environ.get("DBC_WORKERS", "1"))
+    if workers < 1:
+        raise UsageError("--workers (or $DBC_WORKERS) must be at least 1")
     dataset, data_hash = _load_dataset(args)
     model = load_model(args.model)
     model_hash = _sha256(args.model)
@@ -176,7 +179,6 @@ def cmd_score(args) -> int:
     config = CrossingConfig(epsilon=_parse_epsilon(args.epsilon),
                             method=args.method.replace("-", "_"))
     divisor_mode = args.divisor.replace("-", "_")
-    workers = args.workers if args.workers is not None else int(os.environ.get("DBC_WORKERS", "1"))
 
     metadata = {
         "mode": args.mode, "k": args.k if args.mode == "local" else -1,

@@ -5,6 +5,11 @@ decision function mapping a feature vector to a probability in [0, 1].
 Training runs plain batched backprop on binary cross-entropy with either
 SGD or Adam; dropout uses inverted scaling during training so that
 evaluation-mode forward passes never depend on the dropout configuration.
+
+Evaluation and training share one layer loop, ``_forward_cached``.
+Training updates the model's own weight and bias arrays in place, so
+nothing may rebind ``model.weights[i]`` or ``model.biases[i]`` while a
+training run is in progress.
 """
 
 from __future__ import annotations
@@ -92,12 +97,6 @@ class MlpModel:
         """Total trainable parameters: sum of in*out + out over layers."""
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def _hidden(self, z):
-        # in place: callers pass a fresh pre-activation array
-        if self.hidden_activation == "relu":
-            return np.maximum(z, 0.0, out=z)
-        return np.tanh(z, out=z)
-
     def forward(self, x):
         """Evaluation-mode forward pass; dropout never applies here."""
         x = np.asarray(x, dtype=np.float64)
@@ -109,16 +108,7 @@ class MlpModel:
             )
         if not np.isfinite(batch).all():
             raise ModelError("non-finite input to forward pass")
-        # the bias and activation work in place on each matmul output: the
-        # bits of h @ w.T + b without its temporary, and batch is never written
-        h = batch
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = h @ w.T
-            h += b
-            h = self._hidden(h)
-        z = h @ self.weights[-1].T
-        z += self.biases[-1]
-        p = sigmoid(z)[:, 0]
+        p = sigmoid(_forward_cached(self, batch)[2])
         return float(p[0]) if single else p
 
     __call__ = forward
@@ -174,25 +164,37 @@ class TrainReport:
 def _forward_cached(model: MlpModel, X, dropout_masks=None):
     # inputs[i] is what layer i consumes (post-dropout); hidden[i] is the
     # pre-dropout activation of hidden layer i, needed for derivatives.
+    # The bias and activation work in place on each matmul output: the
+    # bits of h @ w.T + b without its temporary, and X is never written.
     h = X
     inputs = [h]
     hidden = []
     for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
-        h = model._hidden(h @ w.T + b)
+        h = h @ w.T
+        h += b
+        if model.hidden_activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
         hidden.append(h)
         if dropout_masks is not None and dropout_masks[i] is not None:
             h = h * dropout_masks[i]
         inputs.append(h)
-    logits = inputs[-1] @ model.weights[-1].T + model.biases[-1]
+    logits = inputs[-1] @ model.weights[-1].T
+    logits += model.biases[-1]
     return inputs, hidden, logits[:, 0]
+
+
+def _bce(p, y) -> float:
+    """Mean binary cross-entropy of probabilities p against labels y."""
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
 def batch_loss(model: MlpModel, X, y) -> float:
     """Mean binary cross-entropy of the evaluation-mode forward pass."""
     _, _, logits = _forward_cached(model, np.asarray(X, dtype=np.float64))
-    p = np.clip(sigmoid(logits), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(y, dtype=np.float64)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return _bce(sigmoid(logits), np.asarray(y, dtype=np.float64))
 
 
 def batch_gradients(model: MlpModel, X, y, dropout_masks=None):
@@ -206,8 +208,7 @@ def batch_gradients(model: MlpModel, X, y, dropout_masks=None):
     inputs, hidden, logits = _forward_cached(model, X, dropout_masks)
     p = sigmoid(logits)
     m = X.shape[0]
-    loss_p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    loss = float(-np.mean(y * np.log(loss_p) + (1.0 - y) * np.log(1.0 - loss_p)))
+    loss = _bce(p, y)
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
@@ -242,8 +243,6 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
             f"architecture input size {sizes[0]} does not match dataset dimension "
             f"{dataset.dimension}"
         )
-    if sizes[-1] != 1:
-        raise ModelError(f"output layer must have size 1, got {sizes[-1]}")
     n_hidden = len(sizes) - 2
     rates = config.dropout_rates
     if rates and len(rates) == 1 and n_hidden > 1:
@@ -264,35 +263,40 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
     y = dataset.labels.astype(np.float64)
     n = X.shape[0]
 
-    opt_state = None
-    if config.optimizer == "adam":
-        opt_state = {
-            "m_w": [np.zeros_like(w) for w in model.weights],
-            "v_w": [np.zeros_like(w) for w in model.weights],
-            "m_b": [np.zeros_like(b) for b in model.biases],
-            "v_b": [np.zeros_like(b) for b in model.biases],
-            "t": 0,
-        }
+    # one list of parameters, updated in place, with one (m, v) pair each
+    params = model.weights + model.biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) if config.optimizer == "adam"
+               else None for p in params]
+    lr = config.learning_rate
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    t = 0
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            masks = None
-            if rates:
-                masks = []
-                for size, rate in zip(sizes[1:-1], rates):
-                    if rate == 0.0:
-                        masks.append(None)
-                    else:
-                        keep = dropout_rng.random((batch.size, size)) >= rate
-                        masks.append(keep / (1.0 - rate))
+            # one mask per hidden layer, drawn in layer order; rate 0 draws none
+            masks = [None if rate == 0.0 else
+                     (dropout_rng.random((batch.size, size)) >= rate) / (1.0 - rate)
+                     for size, rate in zip(sizes[1:-1], rates)] if rates else None
             grads_w, grads_b, loss = batch_gradients(model, X[batch], y[batch], masks)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch)
             epoch_losses.append(loss)
-            _apply_update(model, grads_w, grads_b, config, opt_state)
+            t += 1
+            for param, grad, moment in zip(params, grads_w + grads_b, moments):
+                if moment is None:
+                    param -= lr * grad
+                    continue
+                m, v = moment
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1 ** t)
+                v_hat = v / (1 - beta2 ** t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
         acc = float(np.mean(model.predict(X) == dataset.labels))
         report.epoch_accuracy.append(acc)
         report.epoch_loss.append(float(np.mean(epoch_losses)))
@@ -301,30 +305,6 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
             break
     report.final_accuracy = report.epoch_accuracy[-1]
     return model, report
-
-
-def _apply_update(model, grads_w, grads_b, config, opt_state):
-    lr = config.learning_rate
-    if config.optimizer == "sgd":
-        for i in range(len(model.weights)):
-            model.weights[i] -= lr * grads_w[i]
-            model.biases[i] -= lr * grads_b[i]
-        return
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    opt_state["t"] += 1
-    t = opt_state["t"]
-    for i in range(len(model.weights)):
-        for key, param, grad in (("w", model.weights[i], grads_w[i]),
-                                 ("b", model.biases[i], grads_b[i])):
-            m = opt_state[f"m_{key}"][i]
-            v = opt_state[f"v_{key}"][i]
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
-            m_hat = m / (1 - beta1 ** t)
-            v_hat = v / (1 - beta2 ** t)
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -198,13 +198,14 @@ def _score_block(start: int, f, dataset, ends, f_rows, block, k, config, center,
     aborts gets the message of its FailureRateExceeded instead."""
     ends = ends[start:start + block]
     results = []
-    for i, aset in enumerate(_crossing_sets(f, dataset, ends, f_rows[ends], "local",
-                                            config), start):
-        if isinstance(aset, FailureRateExceeded):
-            results.append(str(aset))
+    for i, result in enumerate(_crossing_sets(f, dataset, ends, f_rows[ends], "local",
+                                              config), start):
+        if isinstance(result, FailureRateExceeded):
+            results.append(str(result))
             continue
-        score = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
-        results.append(LocalScore(pair_index=i, k=k, sample_count=aset.sample_count,
+        points = result[0]
+        score = normalized_entropy(eigen_spectrum(points.T, center), divisor_mode)
+        results.append(LocalScore(pair_index=i, k=k, sample_count=points.shape[0],
                                   value=score.value))
     return results
 
@@ -222,15 +223,18 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     goes to block i // P, where P = min(32, max(1, 2**19 // ((k+1) *
     dimension))) depends only on k and the dimension; each block's
     segments go through one crossing-kernel call, and each pair's set
-    gets its own spectrum. Blocks may fan out over ``workers`` processes,
-    each of which receives ``f`` and ``dataset`` once, when it starts and
-    pins its BLAS to one thread; since a block's rows never depend on
-    ``workers`` or ``reps``, results are identical at any worker count.
+    gets its own spectrum. Blocks may fan out over min(``workers``,
+    blocks) processes, each of which receives ``f`` and ``dataset`` once,
+    when it starts and pins its BLAS to one thread; a single block runs
+    serially. Since a block's rows never depend on ``workers`` or
+    ``reps``, results are identical at any worker count (at least 1).
     Scores that fail (too many crossing failures inside one local set) are
     dropped; more than MAX_FAILURE_RATE of them dropped aborts the batch.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     pairs = [sample_pair(dataset, i, seed) for i in range(reps)]
     ends = _local_ends(dataset, pairs, k, expand_around)
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
@@ -241,15 +245,16 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
                              f_rows=f_rows, block=block, k=k, config=config,
                              center=center, divisor_mode=divisor_mode)
     starts = range(0, reps, block)
-    if workers <= 1:
+    processes = min(workers, len(starts))
+    if processes == 1:
         blocks = map(task, starts)
     else:
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=workers,
+        with cf.ProcessPoolExecutor(max_workers=processes,
                                     initializer=_set_pool_task,
                                     initargs=(task,)) as pool:
             blocks = list(pool.map(_run_pool_task, starts,
-                                   chunksize=max(1, len(starts) // (workers * 8))))
+                                   chunksize=max(1, len(starts) // (processes * 8))))
     results = [r for scores in blocks for r in scores]
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
     if len(failures) / reps > MAX_FAILURE_RATE:

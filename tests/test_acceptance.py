@@ -2,8 +2,9 @@
 
 Heavy criteria (5-8) are deterministic: every dataset, split, training run
 and pair draw is seeded, so the recorded pass counts reproduce exactly.
-Criteria 6 and 8 fan their seeds out over two worker processes to stay
-inside their runtime budgets on a two-core box.
+Criteria 6 and 8 fan their seeds out over two worker processes, each with
+its BLAS pinned to one thread, to stay inside their runtime budgets on a
+two-core box.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines live; they
 are also echoed in the terminal summary.
@@ -18,7 +19,8 @@ import pytest
 from dbcscore import (CrossingConfig, MlpModel, TrainConfig, dbc_global,
                       find_crossing, make_blobs, normalized_entropy, train)
 from dbcscore.dataset import LabeledDataset, minmax_scale
-from dbcscore.spectrum import EigenSpectrum, dbc_local_batch, eigen_spectrum
+from dbcscore.spectrum import (EigenSpectrum, _pin_blas_threads, dbc_local_batch,
+                               eigen_spectrum)
 from dbcscore.stats import signed_rank_test
 from dbcscore import stats as stats_mod
 from dbcscore.cli import main as cli_main
@@ -270,7 +272,7 @@ def _criterion6_seed(seed):
 @pytest.fixture(scope="module")
 def criterion6_results():
     t0 = time.time()
-    with cf.ProcessPoolExecutor(max_workers=2) as pool:
+    with cf.ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
         results = list(pool.map(_criterion6_seed, range(10)))
     elapsed = time.time() - t0
     return results, elapsed
@@ -359,7 +361,7 @@ def _criterion8_seed(seed):
 
 def test_criterion_8_high_dimension_regime(record_criterion):
     t0 = time.time()
-    with cf.ProcessPoolExecutor(max_workers=2) as pool:
+    with cf.ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
         results = list(pool.map(_criterion8_seed, range(10)))
     elapsed = time.time() - t0
     wins = sum(r["ok"] for r in results)

@@ -101,9 +101,10 @@ class TestScore:
         outs = []
         for workers, name in ((1, "w1.csv"), (4, "w4.csv")):
             out = workspace["root"] / name
+            # 40 pairs make two blocks, so 4 workers really run a pool
             assert run(["score", "--model", workspace["simple"], "--data",
                         workspace["data"], "--mode", "local", "--k", 4,
-                        "--reps", 12, "--seed", 2, "--workers", workers,
+                        "--reps", 40, "--seed", 2, "--workers", workers,
                         "--out", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -130,6 +131,16 @@ class TestScore:
         assert run(["score", "--model", workspace["simple"], "--data",
                     workspace["data"], "--mode", "local",
                     "--out", workspace["root"] / "x.csv"]) == 1
+
+    def test_workers_below_one_usage_error(self, workspace, monkeypatch, capsys):
+        out = workspace["root"] / "w0.csv"
+        argv = ["score", "--model", workspace["simple"], "--data", workspace["data"],
+                "--mode", "local", "--k", 3, "--reps", 5, "--out", out]
+        assert run(argv + ["--workers", 0]) == 1
+        assert "--workers" in capsys.readouterr().err
+        monkeypatch.setenv("DBC_WORKERS", "-7")
+        assert run(argv) == 1
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbcscore import (LabeledDataset, MlpModel, ModelError, TrainConfig,
-                      init_model, load_model, save_model, train)
+                      init_model, load_model, make_blobs, save_model, train)
 from dbcscore.model import batch_gradients, batch_loss, sigmoid
 
 
@@ -165,6 +165,57 @@ def sample_away_from_kinks(model, rng, count, step):
     return X
 
 
+def reference_train(dataset, sizes, config, activation):
+    """Independent training oracle: one plain loop per layer, rebuilding
+    the model after every step, with the same seed streams as ``train``
+    ([seed, 1] shuffles the epochs, [seed, 2] draws the dropout masks).
+    Returns the model and the mean loss of each epoch."""
+    net = init_model(sizes, config.seed, activation)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    dropout_rng = np.random.default_rng([config.seed, 2])
+    widths = sizes[1:-1]
+    rates = list(config.dropout_rates)
+    if len(rates) == 1:
+        rates = rates * len(widths)
+    X, y = dataset.features, dataset.labels.astype(float)
+    lr, beta1, beta2 = config.learning_rate, 0.9, 0.999
+    moments = {}
+    epoch_losses = []
+    step = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(X))
+        losses = []
+        for start in range(0, len(X), config.batch_size):
+            rows = order[start:start + config.batch_size]
+            masks = None
+            if rates:
+                masks = [None if rate == 0.0
+                         else (dropout_rng.random((rows.size, width)) >= rate) / (1.0 - rate)
+                         for width, rate in zip(widths, rates)]
+            grads_w, grads_b, loss = batch_gradients(net, X[rows], y[rows], masks)
+            losses.append(loss)
+            step += 1
+            new = {}
+            for layer in range(len(net.weights)):
+                for key, param, grad in (("w", net.weights[layer], grads_w[layer]),
+                                         ("b", net.biases[layer], grads_b[layer])):
+                    if config.optimizer == "sgd":
+                        new[key, layer] = param - lr * grad
+                        continue
+                    m, v = moments.get((key, layer), (0.0, 0.0))
+                    m = beta1 * m + (1 - beta1) * grad
+                    v = beta2 * v + (1 - beta2) * grad ** 2
+                    moments[key, layer] = (m, v)
+                    m_hat = m / (1 - beta1 ** step)
+                    v_hat = v / (1 - beta2 ** step)
+                    new[key, layer] = param - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            layers = range(len(net.weights))
+            net = MlpModel(sizes, [new["w", i] for i in layers],
+                           [new["b", i] for i in layers], activation)
+        epoch_losses.append(float(np.mean(losses)))
+    return net, epoch_losses
+
+
 class TestGradients:
     def test_tiny_dataset_gradient_check(self):
         """Analytic gradient at init matches central differences to 1e-5
@@ -203,6 +254,28 @@ class TestTrain:
         model, report = train(blobs_2d, [2, 1, 1], config, hidden_activation="tanh")
         assert report.final_accuracy == 1.0
         assert model.parameter_count() == 5
+
+    @pytest.mark.parametrize("optimizer,rates,activation", [
+        ("adam", (), "relu"),
+        ("sgd", (), "tanh"),
+        ("adam", (0.5,), "relu"),
+        ("sgd", (0.0, 0.3), "tanh"),
+    ])
+    def test_matches_reference_loop(self, optimizer, rates, activation):
+        """Three epochs of ``train`` on a [3, 6, 5, 1] net, with a short last
+        batch, match the per-layer reference loop: a single dropout rate
+        applies to both hidden layers, and a zero rate draws no mask."""
+        ds = make_blobs(per_class=20, dimension=3, center_distance=3.0,
+                        spread=1.0, seed=31)
+        config = TrainConfig(epochs=3, batch_size=16, seed=12, optimizer=optimizer,
+                             learning_rate=0.05 if optimizer == "sgd" else 0.01,
+                             dropout_rates=rates)
+        net, report = train(ds, [3, 6, 5, 1], config, hidden_activation=activation)
+        expected, losses = reference_train(ds, [3, 6, 5, 1], config, activation)
+        for got, want in zip(net.weights + net.biases, expected.weights + expected.biases):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(report.epoch_loss, losses, rtol=1e-10, atol=0)
+        assert report.epochs_run == 3
 
     def test_zero_epochs_is_noop(self, blobs_2d):
         config = TrainConfig(epochs=0, seed=7)

@@ -235,9 +235,10 @@ class TestComposedScores:
         assert [s.pair_index for s in s_lin] == [s.pair_index for s in s_zig]
 
     def test_workers_match_serial(self, blobs_2d, linear_model_2d):
-        serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=12, k=4,
+        # 40 pairs make two blocks, so the pool really runs
+        serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
                                  seed=2, workers=1)
-        parallel = dbc_local_batch(linear_model_2d, blobs_2d, reps=12, k=4,
+        parallel = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
                                    seed=2, workers=4)
         assert [(s.pair_index, s.value) for s in serial] == \
                [(s.pair_index, s.value) for s in parallel]
@@ -246,10 +247,40 @@ class TestComposedScores:
         """A locally defined callable, which pickle refuses, still scores
         on a pool and matches the serial batch."""
         zigzag = make_zigzag_model()
-        serial = dbc_local_batch(zigzag, blobs_2d, reps=12, k=4, seed=2)
-        parallel = dbc_local_batch(zigzag, blobs_2d, reps=12, k=4, seed=2,
+        serial = dbc_local_batch(zigzag, blobs_2d, reps=40, k=4, seed=2)
+        parallel = dbc_local_batch(zigzag, blobs_2d, reps=40, k=4, seed=2,
                                    workers=2)
         assert serial == parallel
+
+    def test_pool_size_is_bounded_by_the_blocks(self, blobs_2d, linear_model_2d,
+                                                monkeypatch):
+        """The pool asks for at most one process per block, and a single
+        block runs serially; checked with a stand-in executor that starts
+        no process."""
+        import concurrent.futures
+
+        requested = []
+
+        class NoPool:
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+                raise RuntimeError("no process may start here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=5, k=3, seed=2)
+        assert dbc_local_batch(linear_model_2d, blobs_2d, reps=5, k=3, seed=2,
+                               workers=64) == serial
+        assert requested == []
+        # 100 pairs at k=3 on 2-D rows make 4 blocks of at most 32 pairs
+        with pytest.raises(RuntimeError, match="no process"):
+            dbc_local_batch(linear_model_2d, blobs_2d, reps=100, k=3, seed=2,
+                            workers=4096)
+        assert requested == [4]
+        for workers in (0, -7):
+            with pytest.raises(ValueError, match="workers"):
+                dbc_local_batch(linear_model_2d, blobs_2d, reps=5, k=3, seed=2,
+                                workers=workers)
+        assert requested == [4]
 
     def test_blocks_fix_the_scores_of_a_blas_backed_model(self):
         """Pairs are scored in blocks whose rows depend on neither reps nor
