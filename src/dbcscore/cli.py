@@ -109,6 +109,15 @@ def _parse_arch(text: str) -> list[int]:
     return sizes
 
 
+def _parse_dropout(text: str) -> tuple[float, ...]:
+    if not text:
+        return ()
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"--dropout must be comma-separated rates, got {text!r}") from None
+
+
 def _load_dataset(args) -> tuple[LabeledDataset, str]:
     column = args.label_column
     if isinstance(column, str) and (column.isdigit()
@@ -137,7 +146,7 @@ def cmd_blobs(args) -> int:
 def cmd_train(args) -> int:
     dataset, data_hash = _load_dataset(args)
     arch = _parse_arch(args.arch)
-    dropout = tuple(float(r) for r in args.dropout.split(",")) if args.dropout else ()
+    dropout = _parse_dropout(args.dropout)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          learning_rate=args.lr, seed=args.seed,
                          optimizer=args.optimizer, dropout_rates=dropout,

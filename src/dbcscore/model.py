@@ -7,9 +7,11 @@ SGD or Adam; dropout uses inverted scaling during training so that
 evaluation-mode forward passes never depend on the dropout configuration.
 
 Evaluation and training share one layer loop, ``_forward_cached``.
-Training updates the model's own weight and bias arrays in place, so
-nothing may rebind ``model.weights[i]`` or ``model.biases[i]`` while a
-training run is in progress.
+Training holds every weight and bias in one flat float64 buffer and runs
+one in-place optimizer update over it per step; a trained model's arrays
+are reshaped views of that buffer. ``train`` rebinds ``model.weights[i]``
+and ``model.biases[i]`` to those views once, before the first step, and
+nothing else may rebind them while a training run is in progress.
 """
 
 from __future__ import annotations
@@ -151,6 +153,9 @@ class TrainConfig:
         for r in self.dropout_rates:
             if not 0.0 <= r < 1.0:
                 raise ModelError(f"dropout rates must lie in [0, 1), got {r}")
+        target = self.target_train_accuracy
+        if target is not None and not 0.0 <= target <= 1.0:
+            raise ModelError(f"target_train_accuracy must lie in [0, 1], got {target}")
 
 
 @dataclass
@@ -263,10 +268,17 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
     y = dataset.labels.astype(np.float64)
     n = X.shape[0]
 
-    # one list of parameters, updated in place, with one (m, v) pair each
-    params = model.weights + model.biases
-    moments = [(np.zeros_like(p), np.zeros_like(p)) if config.optimizer == "adam"
-               else None for p in params]
+    # every weight and bias lives in one flat buffer; the model's arrays are
+    # views of it, so one in-place update per step moves every layer
+    arrays = model.weights + model.biases
+    params = np.concatenate([a.ravel() for a in arrays])
+    bounds = np.cumsum([a.size for a in arrays])[:-1]
+    views = [part.reshape(a.shape) for part, a in zip(np.split(params, bounds), arrays)]
+    n_layers = len(model.weights)
+    model.weights[:] = views[:n_layers]
+    model.biases[:] = views[n_layers:]
+    grads, s, r = (np.empty_like(params) for _ in range(3))
+    m, v = np.zeros_like(params), np.zeros_like(params)
     lr = config.learning_rate
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
@@ -285,18 +297,28 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
                 raise TrainingDiverged(epoch)
             epoch_losses.append(loss)
             t += 1
-            for param, grad, moment in zip(params, grads_w + grads_b, moments):
-                if moment is None:
-                    param -= lr * grad
-                    continue
-                m, v = moment
-                m *= beta1
-                m += (1 - beta1) * grad
-                v *= beta2
-                v += (1 - beta2) * grad * grad
-                m_hat = m / (1 - beta1 ** t)
-                v_hat = v / (1 - beta2 ** t)
-                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.concatenate([g.ravel() for g in grads_w + grads_b], out=grads)
+            if config.optimizer == "sgd":
+                np.multiply(lr, grads, out=s)
+                params -= s
+                continue
+            # Adam, in the op order of lr * m_hat / (sqrt(v_hat) + eps) with
+            # m_hat = m / (1 - beta1**t) and v_hat = v / (1 - beta2**t);
+            # that order fixes the bits of every trained model
+            m *= beta1
+            np.multiply(1 - beta1, grads, out=s)
+            m += s
+            v *= beta2
+            np.multiply(1 - beta2, grads, out=s)
+            s *= grads
+            v += s
+            np.divide(m, 1 - beta1 ** t, out=s)
+            np.divide(v, 1 - beta2 ** t, out=r)
+            np.sqrt(r, out=r)
+            r += eps
+            s *= lr
+            s /= r
+            params -= s
         acc = float(np.mean(model.predict(X) == dataset.labels))
         report.epoch_accuracy.append(acc)
         report.epoch_loss.append(float(np.mean(epoch_losses)))

@@ -314,4 +314,8 @@ def load_score_batch(path):
                                    value=float(row["dbc"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpectrumError(f"malformed score row {r} in {path}: {exc}") from None
+        # a NaN or out-of-range score would reach the rank tests as a value
+        if not 0.0 <= rows[-1].value <= 1.0:
+            raise SpectrumError(f"score row {r} in {path} has dbc {row['dbc']!r}, "
+                                f"not a finite value in [0, 1]")
     return rows, metadata

@@ -82,6 +82,21 @@ class TestTrain:
         assert code == 2
         assert "dimension" in capsys.readouterr().err
 
+    def test_malformed_dropout_is_usage_error(self, workspace, capsys):
+        code = run(["train", "--data", workspace["data"], "--arch", "2,4,1",
+                    "--dropout", "0.2,", "--epochs", 1,
+                    "--out", workspace["root"] / "bad.json"])
+        assert code == 1
+        assert "--dropout" in capsys.readouterr().err
+
+    def test_target_accuracy_above_one_refused(self, workspace, capsys):
+        out = workspace["root"] / "bad.json"
+        code = run(["train", "--data", workspace["data"], "--arch", "2,4,1",
+                    "--target-acc", 3, "--epochs", 1, "--out", out])
+        assert code == 2
+        assert "target_train_accuracy" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScore:
     def test_local_csv_shape(self, workspace, capsys):
@@ -212,6 +227,22 @@ class TestCompare:
                     assert run(["compare", "--a", a, "--b", b, "--test", test,
                                 *force]) == 2
                     assert "global score" in capsys.readouterr().err
+
+    def test_non_finite_or_out_of_range_scores_refused(self, workspace, score_files,
+                                                       tmp_path, capsys):
+        lines = score_files["simple"].read_text().splitlines()
+        body = [i for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
+        for i, value in zip(body[1:3], ("nan", "1.7")):
+            fields = lines[i].split(",")
+            fields[3] = value
+            lines[i] = ",".join(fields)
+        bad = tmp_path / "bad_scores.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for test in ("signed-rank", "mann-whitney"):
+            assert run(["compare", "--a", bad, "--b", score_files["complex"],
+                        "--test", test]) == 2
+            err = capsys.readouterr().err
+            assert "bad_scores.csv" in err and "row 0" in err
 
     def test_dataset_mismatch_refused_without_force(self, workspace,
                                                     score_files, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -165,33 +166,44 @@ def sample_away_from_kinks(model, rng, count, step):
     return X
 
 
-def reference_train(dataset, sizes, config, activation):
-    """Independent training oracle: one plain loop per layer, rebuilding
-    the model after every step, with the same seed streams as ``train``
-    ([seed, 1] shuffles the epochs, [seed, 2] draws the dropout masks).
-    Returns the model and the mean loss of each epoch."""
-    net = init_model(sizes, config.seed, activation)
+def reference_steps(dataset, sizes, config):
+    """Each epoch's list of (rows, dropout masks) steps, drawn from the seed
+    streams ``train`` uses: [seed, 1] shuffles the epochs and [seed, 2]
+    draws the masks, one per hidden layer in layer order (rate 0: none)."""
     shuffle_rng = np.random.default_rng([config.seed, 1])
     dropout_rng = np.random.default_rng([config.seed, 2])
     widths = sizes[1:-1]
     rates = list(config.dropout_rates)
     if len(rates) == 1:
         rates = rates * len(widths)
-    X, y = dataset.features, dataset.labels.astype(float)
-    lr, beta1, beta2 = config.learning_rate, 0.9, 0.999
-    moments = {}
-    epoch_losses = []
-    step = 0
+    n = dataset.count
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(len(X))
-        losses = []
-        for start in range(0, len(X), config.batch_size):
+        order = shuffle_rng.permutation(n)
+        steps = []
+        for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             masks = None
             if rates:
                 masks = [None if rate == 0.0
                          else (dropout_rng.random((rows.size, width)) >= rate) / (1.0 - rate)
                          for width, rate in zip(widths, rates)]
+            steps.append((rows, masks))
+        yield steps
+
+
+def reference_train(dataset, sizes, config, activation):
+    """Independent training oracle: one plain loop per layer, rebuilding
+    the model after every step, on the steps of ``reference_steps``.
+    Returns the model and the mean loss of each epoch."""
+    net = init_model(sizes, config.seed, activation)
+    X, y = dataset.features, dataset.labels.astype(float)
+    lr, beta1, beta2 = config.learning_rate, 0.9, 0.999
+    moments = {}
+    epoch_losses = []
+    step = 0
+    for steps in reference_steps(dataset, sizes, config):
+        losses = []
+        for rows, masks in steps:
             grads_w, grads_b, loss = batch_gradients(net, X[rows], y[rows], masks)
             losses.append(loss)
             step += 1
@@ -214,6 +226,39 @@ def reference_train(dataset, sizes, config, activation):
                            [new["b", i] for i in layers], activation)
         epoch_losses.append(float(np.mean(losses)))
     return net, epoch_losses
+
+
+def per_array_update_train(dataset, sizes, config, activation):
+    """Training with one in-place optimizer update per weight and bias
+    array, in the expressions and op order that the flat-buffer update of
+    ``train`` must reproduce bit for bit, on the steps of
+    ``reference_steps``. Returns the model and the mean loss of each epoch."""
+    model = init_model(sizes, config.seed, activation)
+    X, y = dataset.features, dataset.labels.astype(np.float64)
+    params = model.weights + model.biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    lr, beta1, beta2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+    epoch_losses = []
+    t = 0
+    for steps in reference_steps(dataset, sizes, config):
+        losses = []
+        for rows, masks in steps:
+            grads_w, grads_b, loss = batch_gradients(model, X[rows], y[rows], masks)
+            losses.append(loss)
+            t += 1
+            for param, grad, (m, v) in zip(params, grads_w + grads_b, moments):
+                if config.optimizer == "sgd":
+                    param -= lr * grad
+                    continue
+                m *= beta1
+                m += (1 - beta1) * grad
+                v *= beta2
+                v += (1 - beta2) * grad * grad
+                m_hat = m / (1 - beta1 ** t)
+                v_hat = v / (1 - beta2 ** t)
+                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        epoch_losses.append(float(np.mean(losses)))
+    return model, epoch_losses
 
 
 class TestGradients:
@@ -276,6 +321,59 @@ class TestTrain:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
         np.testing.assert_allclose(report.epoch_loss, losses, rtol=1e-10, atol=0)
         assert report.epochs_run == 3
+
+    @pytest.mark.parametrize("optimizer,rates,activation", [
+        ("adam", (), "relu"),
+        ("adam", (0.5,), "relu"),
+        ("sgd", (), "tanh"),
+        ("sgd", (0.0, 0.3), "tanh"),
+    ])
+    def test_matches_per_array_update_bitwise(self, optimizer, rates, activation):
+        """The one update over the flat parameter buffer gives the bits of
+        one in-place update per array: weights, biases and epoch losses
+        over three epochs of a [3, 6, 5, 1] net with a short last batch."""
+        ds = make_blobs(per_class=20, dimension=3, center_distance=3.0,
+                        spread=1.0, seed=31)
+        config = TrainConfig(epochs=3, batch_size=16, seed=12, optimizer=optimizer,
+                             learning_rate=0.05 if optimizer == "sgd" else 0.01,
+                             dropout_rates=rates)
+        net, report = train(ds, [3, 6, 5, 1], config, hidden_activation=activation)
+        expected, losses = per_array_update_train(ds, [3, 6, 5, 1], config, activation)
+        for got, want in zip(net.weights + net.biases, expected.weights + expected.biases):
+            assert np.array_equal(got, want)
+        assert report.epoch_loss == losses
+
+    def test_trained_models_own_their_parameters(self, blobs_2d):
+        """Training another model, of the same or of another architecture,
+        leaves a trained model's arrays as they were."""
+        config = TrainConfig(epochs=3, batch_size=32, learning_rate=1e-2, seed=4)
+        first, _ = train(blobs_2d, [2, 5, 3, 1], config)
+        before = [a.copy() for a in first.weights + first.biases]
+        others = [train(blobs_2d, [2, 5, 3, 1], config)[0],
+                  train(blobs_2d, [2, 9, 1],
+                        TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, seed=5))[0]]
+        for got, want in zip(first.weights + first.biases, before):
+            assert np.array_equal(got, want)
+        for other in others:
+            for a in first.weights + first.biases:
+                assert not any(np.shares_memory(a, b) for b in other.weights + other.biases)
+
+    def test_trained_model_round_trips_bitwise(self, blobs_2d, tmp_path):
+        """A trained model survives save/load and pickle (which the scoring
+        pool uses) with every parameter and forward output bit for bit."""
+        config = TrainConfig(epochs=3, batch_size=32, learning_rate=1e-2, seed=6)
+        net, _ = train(blobs_2d, [2, 7, 4, 1], config)
+        save_model(net, tmp_path / "m.json")
+        X = blobs_2d.features
+        for copy in (load_model(tmp_path / "m.json"), pickle.loads(pickle.dumps(net))):
+            for got, want in zip(copy.weights + copy.biases, net.weights + net.biases):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(copy(X), net(X))
+
+    def test_target_accuracy_outside_unit_interval_rejected(self):
+        for target in (3.0, -0.1, float("nan")):
+            with pytest.raises(ModelError, match="target_train_accuracy"):
+                TrainConfig(target_train_accuracy=target)
 
     def test_zero_epochs_is_noop(self, blobs_2d):
         config = TrainConfig(epochs=0, seed=7)

@@ -356,6 +356,14 @@ class TestScoreFiles:
         save_score_batch(p2, scores, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.7"])
+    def test_non_finite_or_out_of_range_score_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text("pair_index,k,m,dbc,divisor_mode,centered\n"
+                        f"0,2,3,0.5,e,true\n1,2,3,{value},e,true\n")
+        with pytest.raises(SpectrumError, match=r"row 1 in .*bad\.csv"):
+            load_score_batch(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("pair_index,k,m,dbc,divisor_mode,centered\n1,2,oops,0.5,e,true\n")
