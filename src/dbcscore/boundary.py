@@ -28,6 +28,9 @@ from .dataset import ClassPair, LabeledDataset, k_nearest, sample_pairs
 
 DEFAULT_EPSILON = 1.0 / 256.0
 MAX_FAILURE_RATE = 0.10
+# rows x dimension that one f call of a batch may receive: it sizes the
+# linear scan's chunks and a local batch's blocks
+ROW_BUDGET = 2 ** 19
 
 
 class CrossingError(ValueError):
@@ -45,30 +48,28 @@ class CrossingConfig:
     ``epsilon`` bounds the width of the interpolation-parameter bracket.
     ``linear_scan`` walks lam = 0, eps, 2*eps, ... and keeps the lam whose
     f-value is closest to 0.5; ``bisection`` halves a straddling bracket in
-    O(log(1/eps)) evaluations. ``tolerance_on_f`` optionally accepts a point
-    early once |f(c) - 0.5| <= tolerance.
+    O(log(1/eps)) evaluations.
     """
 
     epsilon: float = DEFAULT_EPSILON
     method: str = "bisection"
-    tolerance_on_f: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.method not in ("linear_scan", "bisection"):
             raise ValueError(f"method must be 'linear_scan' or 'bisection', got {self.method!r}")
-        if self.tolerance_on_f is not None and self.tolerance_on_f < 0:
-            raise ValueError("tolerance_on_f must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Crossing:
     """One located boundary point with its bracket certificate.
 
-    ``point = lam*a + (1-lam)*b``. The bracket [lam_lo, lam_hi] contains
-    lam, and the f-values at its ends straddle 0.5 (bisection mode
-    guarantees width <= epsilon unless a tolerance accepted early).
+    ``point = lam*a + (1-lam)*b``. The f-values at the ends of the bracket
+    [lam_lo, lam_hi] straddle 0.5. Bisection's bracket contains lam and is
+    at most epsilon wide. The linear scan's bracket is the sign change of
+    its grid nearest to lam, or [last grid point, 1] when the grid has
+    none; it holds lam whenever f is monotone along the segment.
     """
 
     point: np.ndarray
@@ -127,20 +128,21 @@ def _interp(lam, A, B):
 def _crossing_kernel(f, A, B, config: CrossingConfig):
     """Locate crossings for oriented segments. A rows are on the f < 0.5
     side, B rows on the f >= 0.5 side; the caller has already verified
-    this. Returns (lam, f_value, lam_lo, lam_hi) arrays of length m.
+    this. Returns (lam, f_value, lam_lo, lam_hi) arrays of length m. A
+    segment's values depend on the other segments of the call only
+    through f, when f's value of a row depends on the rows beside it.
 
-    The returned lam is always a point where f was evaluated; the final
-    bracket [lam_lo, lam_hi] contains it, straddles 0.5 and has width
-    <= epsilon, so the whole search costs ceil(log2(1/epsilon)) f-rows
-    beyond the endpoint checks.
+    Bisection's lam is the last midpoint it evaluated; the final bracket
+    [lam_lo, lam_hi] contains it, straddles 0.5 and has width <= epsilon,
+    so the search costs ceil(log2(1/epsilon)) f-rows per segment. The
+    linear scan costs floor(1/epsilon) + 1 f-rows per segment.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    m = A.shape[0]
     if config.method == "linear_scan":
-        lam, fval, lo, hi, _, _ = _linear_scan_kernel(f, A, B, config)
-        return lam, fval, lo, hi
+        return _linear_scan_kernel(f, A, B, config.epsilon)
 
+    m = A.shape[0]
     lo = np.zeros(m)   # lam=0 is b: f >= 0.5
     hi = np.ones(m)    # lam=1 is a: f < 0.5
     lam = np.full(m, 0.5)
@@ -176,56 +178,48 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
         lt = g < 0.0
         lo[active[ge]] = mid[ge]
         hi[active[lt]] = mid[lt]
-        if config.tolerance_on_f is not None:
-            # mid stays an endpoint of the updated bracket, which straddles
-            done[active[np.abs(g) <= config.tolerance_on_f]] = True
     return lam, fval, lo, hi
 
 
-def _linear_scan_kernel(f, A, B, config: CrossingConfig):
-    # Also returns g at the grid ends so callers can audit the
-    # precondition without extra evaluations.
-    eps = config.epsilon
-    count = math.floor(1.0 / eps) + 1
-    grid = np.minimum(eps * np.arange(count), 1.0)
-    m = A.shape[0]
-    lam = np.empty(m)
-    fval = np.empty(m)
-    lam_lo = np.empty(m)
-    lam_hi = np.empty(m)
-    g_first = np.empty(m)
-    g_last = np.empty(m)
-    for i in range(m):
-        points = grid[:, None] * A[i] + (1.0 - grid)[:, None] * B[i]
-        fv = np.asarray(f(points), dtype=np.float64)
+def _linear_scan_kernel(f, A, B, epsilon: float):
+    """Evaluate the grid lam = 0, eps, 2*eps, ... (capped at 1) on every
+    segment: lam is the first grid point of least |f - 0.5| (a NaN f wins,
+    so it surfaces as a failure), the bracket the grid's sign change
+    nearest to it, the lower on a tie, else [last grid point, 1]. Chunks
+    of at most max(grid size, ROW_BUDGET // d) rows go through f, each
+    reduced before the next, so memory does not grow with the segments.
+    """
+    grid = np.minimum(epsilon * np.arange(math.floor(1.0 / epsilon) + 1), 1.0)
+    m, d = A.shape
+    size = grid.size
+    chunk = max(1, ROW_BUDGET // (size * d))
+    lam, fval, lam_lo, lam_hi = (np.empty(m) for _ in range(4))
+    steps = np.arange(size - 1)
+    for start in range(0, m, chunk):
+        part = slice(start, start + chunk)
+        # (segments, grid, d), the bits of each segment's grid alone
+        points = grid[:, None] * A[part, None] + (1.0 - grid)[:, None] * B[part, None]
+        fv = np.asarray(f(points.reshape(-1, d)), dtype=np.float64).reshape(-1, size)
         g = fv - 0.5
-        g_first[i] = g[0]
-        g_last[i] = g[-1]
-        best = int(np.argmin(np.abs(g)))
-        lam[i] = grid[best]
-        fval[i] = fv[best]
-        straddle = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
-        if straddle.size:
-            # prefer the sign-change bracket adjacent to the winner
-            j = straddle[np.argmin(np.abs(straddle - best))]
-            lam_lo[i] = grid[j]
-            lam_hi[i] = grid[j + 1]
-        else:
-            # grid missed lam=1 (1/eps not integral); f(a) < 0.5 closes it
-            lam_lo[i] = grid[-1]
-            lam_hi[i] = 1.0
-    return lam, fval, lam_lo, lam_hi, g_first, g_last
+        best = np.argmin(np.abs(g), axis=1)
+        lam[part] = grid[best]
+        fval[part] = fv[np.arange(len(fv)), best]
+        straddle = g[:, :-1] * g[:, 1:] <= 0.0
+        j = np.argmin(np.where(straddle, np.abs(steps - best[:, None]), size), axis=1)
+        found = straddle.any(axis=1)
+        lam_lo[part] = np.where(found, grid[j], grid[-1])
+        lam_hi[part] = np.where(found, grid[j + 1], 1.0)
+    return lam, fval, lam_lo, lam_hi
 
 
 def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossing:
     """Locate the boundary crossing on the segment between a and b.
 
     Requires f(a) < 0.5 <= f(b) and a finite f at the located point;
-    violations raise CrossingError rather than guessing. Returns the
-    crossing point, its interpolation parameter and the bracket
-    certificate. The linear scan reads the endpoint values off its own
-    grid, so its evaluation count stays at floor(1/epsilon) + 1 when
-    1/epsilon is integral.
+    violations raise CrossingError rather than guessing. Evaluates f once
+    on both ends, then runs the same kernel as a batch of segments, so
+    the result equals that segment's in any batch. Returns the crossing
+    point, its interpolation parameter and the bracket certificate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -233,21 +227,9 @@ def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossin
         raise ValueError(f"a and b must be vectors of equal shape, got {a.shape} and {b.shape}")
     if np.array_equal(a, b):
         raise CrossingError("a and b are identical vectors")
-
-    if config.method == "bisection":
-        ends = np.asarray(f(np.vstack([a, b])), dtype=np.float64)
-        fa, fb = float(ends[0]), float(ends[1])
-        _require_straddle(fa, fb)
-        lam, fval, lo, hi = _crossing_kernel(f, a[None, :], b[None, :], config)
-    else:
-        lam, fval, lo, hi, g_first, g_last = _linear_scan_kernel(
-            f, a[None, :], b[None, :], config)
-        fb = float(g_first[0]) + 0.5
-        if math.floor(1.0 / config.epsilon) * config.epsilon == 1.0:
-            fa = float(g_last[0]) + 0.5
-        else:
-            fa = float(np.asarray(f(a[None, :]), dtype=np.float64)[0])
-        _require_straddle(fa, fb)
+    ends = np.asarray(f(np.vstack([a, b])), dtype=np.float64)
+    _require_straddle(float(ends[0]), float(ends[1]))
+    lam, fval, lo, hi = _crossing_kernel(f, a[None, :], b[None, :], config)
     if not np.isfinite(fval[0]):
         raise CrossingError(f"non-finite decision value {fval[0]} at lam={lam[0]:.6g}")
     point = lam[0] * a + (1.0 - lam[0]) * b

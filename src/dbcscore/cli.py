@@ -171,9 +171,17 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     if args.mode == "local" and args.k is None:
         raise UsageError("--k is required for local mode")
+    if args.mode == "local" and args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
     if args.reps is not None and args.reps < 1:
         raise UsageError("--reps must be positive")
-    workers = args.workers if args.workers is not None else int(os.environ.get("DBC_WORKERS", "1"))
+    workers = args.workers
+    if workers is None:
+        text = os.environ.get("DBC_WORKERS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise UsageError(f"$DBC_WORKERS must be an integer, got {text!r}") from None
     if workers < 1:
         raise UsageError("--workers (or $DBC_WORKERS) must be at least 1")
     dataset, data_hash = _load_dataset(args)

@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import (MAX_FAILURE_RATE, AdversarialSet, CrossingConfig,
-                       FailureRateExceeded, _crossing_sets, _local_ends,
-                       global_adversarial_set)
+from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
+                       CrossingConfig, FailureRateExceeded, _crossing_sets,
+                       _local_ends, global_adversarial_set)
 # dbcbench/tracing.py wraps this name here; the batch itself never calls it
 from .boundary import local_adversarial_set  # noqa: F401
 from .dataset import LabeledDataset, sample_pair
@@ -220,7 +220,7 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     scored with the same seed see identical pairs and their score lists
     pair up by index. f is evaluated once on every dataset row, for the
     segment ends, and k_nearest once per distinct hub row. Pair i then
-    goes to block i // P, where P = min(32, max(1, 2**19 // ((k+1) *
+    goes to block i // P, where P = min(32, max(1, ROW_BUDGET // ((k+1) *
     dimension))) depends only on k and the dimension; each block's
     segments go through one crossing-kernel call, and each pair's set
     gets its own spectrum. Blocks may fan out over min(``workers``,
@@ -240,7 +240,7 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set
-    block = min(32, max(1, 2 ** 19 // ((k + 1) * dataset.dimension)))
+    block = min(32, max(1, ROW_BUDGET // ((k + 1) * dataset.dimension)))
     task = functools.partial(_score_block, f=f, dataset=dataset, ends=ends,
                              f_rows=f_rows, block=block, k=k, config=config,
                              center=center, divisor_mode=divisor_mode)

@@ -8,6 +8,7 @@ from dbcscore import (CrossingConfig, CrossingError, FailureRateExceeded,
                       find_crossing, global_adversarial_set, k_nearest,
                       local_adversarial_set, make_blobs, sample_pair,
                       sample_pairs, save_adversarial_set)
+from dbcscore import boundary
 from dbcscore.boundary import CrossingFailure, _crossing_kernel
 from tests.conftest import make_zigzag_model
 
@@ -30,6 +31,40 @@ def sigmoid_along_segment(a, b, lam_true, slope=-12.0):
         return 1.0 / (1.0 + np.exp(-slope * (lam - lam_true)))
 
     return f
+
+
+def linear_scan_oracle(f, A, B, eps):
+    """The linear scan one segment at a time: every grid point of a
+    segment in one f call, the grid point closest to 0.5, and the
+    sign-change bracket nearest to it (the lower on a tie)."""
+    grid = np.minimum(eps * np.arange(math.floor(1.0 / eps) + 1), 1.0)
+    out = np.empty((4, len(A)))
+    for i in range(len(A)):
+        points = grid[:, None] * A[i] + (1.0 - grid)[:, None] * B[i]
+        fv = np.asarray(f(points), dtype=np.float64)
+        g = fv - 0.5
+        best = int(np.argmin(np.abs(g)))
+        straddle = np.flatnonzero(g[:-1] * g[1:] <= 0.0)
+        if straddle.size:
+            j = straddle[np.argmin(np.abs(straddle - best))]
+            lo, hi = grid[j], grid[j + 1]
+        else:
+            lo, hi = grid[-1], 1.0
+        out[:, i] = grid[best], fv[best], lo, hi
+    return tuple(out)
+
+
+def zigzag_segments(count, seed):
+    """Segments across the zigzag boundary, many crossing it several
+    times, oriented so that f(A) < 0.5 <= f(B)."""
+    f = make_zigzag_model()
+    rng = np.random.default_rng(seed)
+    P = rng.uniform([-4.0, -10.0], [4.0, 10.0], size=(count, 2))
+    Q = rng.uniform([-4.0, -10.0], [4.0, 10.0], size=(count, 2))
+    swap = (f(P) >= 0.5)[:, None]
+    A, B = np.where(swap, Q, P), np.where(swap, P, Q)
+    keep = (f(A) < 0.5) & (f(B) >= 0.5)
+    return f, A[keep], B[keep]
 
 
 class CountingClassifier:
@@ -103,19 +138,21 @@ class TestFindCrossing:
         assert 0.0 <= crossing.lam <= 1.0
 
     def test_bracket_certificate(self):
-        """Re-evaluating f at the bracket ends verifies the certificate."""
+        """Re-evaluating f at the bracket ends verifies the certificate,
+        under both methods."""
         rng = np.random.default_rng(3)
         eps = 1 / 256
         for _ in range(50):
             a = rng.normal(size=4)
             b = a + rng.normal(size=4)
             f = sigmoid_along_segment(a, b, float(rng.uniform(0.1, 0.9)))
-            c = find_crossing(f, a, b, CrossingConfig(epsilon=eps))
-            assert c.lam_lo <= c.lam <= c.lam_hi
-            assert c.lam_hi - c.lam_lo <= eps
-            g_lo = float(f((c.lam_lo * a + (1 - c.lam_lo) * b)[None, :])[0]) - 0.5
-            g_hi = float(f((c.lam_hi * a + (1 - c.lam_hi) * b)[None, :])[0]) - 0.5
-            assert g_lo * g_hi <= 0.0
+            for method in ("bisection", "linear_scan"):
+                c = find_crossing(f, a, b, CrossingConfig(epsilon=eps, method=method))
+                assert c.lam_lo <= c.lam <= c.lam_hi
+                assert c.lam_hi - c.lam_lo <= eps
+                g_lo = float(f((c.lam_lo * a + (1 - c.lam_lo) * b)[None, :])[0]) - 0.5
+                g_hi = float(f((c.lam_hi * a + (1 - c.lam_hi) * b)[None, :])[0]) - 0.5
+                assert g_lo * g_hi <= 0.0
 
     def test_bisection_evaluation_budget(self):
         a, b = np.array([1.0]), np.array([0.0])
@@ -128,7 +165,7 @@ class TestFindCrossing:
         a, b = np.array([1.0]), np.array([0.0])
         counter = CountingClassifier(sigmoid_along_segment(a, b, 0.41))
         find_crossing(counter, a, b, CrossingConfig(epsilon=1 / 256, method="linear_scan"))
-        assert counter.rows == 257
+        assert counter.rows == 2 + 257  # the two ends, then the grid
 
     def test_exact_hit_accepted_immediately(self):
         # crossing at lam = 0.5 exactly, hit on the first midpoint
@@ -171,14 +208,49 @@ class TestFindCrossing:
             c = find_crossing(f, A[i], B[i], config)
             assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
 
-    def test_tolerance_on_f_early_exit(self):
-        a, b = np.array([1.0]), np.array([0.0])
-        f = sigmoid_along_segment(a, b, 0.3752917, slope=-4.0)
-        loose = CountingClassifier(f)
-        find_crossing(loose, a, b, CrossingConfig(epsilon=1 / 2 ** 20, tolerance_on_f=0.05))
-        tight = CountingClassifier(f)
-        find_crossing(tight, a, b, CrossingConfig(epsilon=1 / 2 ** 20))
-        assert loose.rows < tight.rows
+    @pytest.mark.parametrize("eps", [1 / 256, 0.15, 1 / 3])
+    @pytest.mark.parametrize("budget", [600, 5000, boundary.ROW_BUDGET])
+    def test_linear_scan_matches_per_segment_oracle(self, monkeypatch, eps, budget):
+        """The chunked scan equals the per-segment loop bit for bit in all
+        four outputs, with chunks of one segment, of several, and of the
+        whole batch; the zigzag crosses 0.5 several times on most
+        segments, and 1/0.15 is not integral."""
+        monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
+        f, A, B = zigzag_segments(400, seed=5)
+        got = _crossing_kernel(f, A, B, CrossingConfig(epsilon=eps, method="linear_scan"))
+        want = linear_scan_oracle(f, A, B, eps)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_linear_scan_batch_equals_lone_find_crossing(self, monkeypatch):
+        monkeypatch.setattr(boundary, "ROW_BUDGET", 5000)
+        f, A, B = zigzag_segments(60, seed=6)
+        config = CrossingConfig(epsilon=0.15, method="linear_scan")
+        lam, fval, lo, hi = _crossing_kernel(f, A, B, config)
+        for i in range(len(A)):
+            c = find_crossing(f, A[i], B[i], config)
+            assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
+
+    @pytest.mark.parametrize("budget", [256, boundary.ROW_BUDGET])
+    def test_linear_scan_rows_per_call_are_bounded(self, blobs_2d, linear_model_2d,
+                                                   monkeypatch, budget):
+        """No f call of a many-segment linear-scan global set gets more
+        than max(grid size, ROW_BUDGET // d) rows, however many segments
+        the set has."""
+        monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
+        calls = []
+
+        def f(points):
+            calls.append(len(points))
+            return linear_model_2d(points)
+
+        reps = 1200
+        aset = global_adversarial_set(f, blobs_2d, reps=reps, seed=4,
+                                      config=CrossingConfig(method="linear_scan"))
+        assert aset.sample_count == reps
+        scan = calls[1:]  # the first call evaluates the dataset rows
+        assert sum(scan) == reps * 257
+        assert max(scan) <= max(257, budget // blobs_2d.dimension)
 
     def test_swapped_endpoints_land_nearby(self):
         """With a single crossing, swapping roles (and re-orienting) moves
@@ -344,12 +416,16 @@ class TestNonFiniteDecisionValues:
                           CrossingConfig(method=method))
 
     def test_global_score_fails(self, blobs_2d):
-        with pytest.raises(FailureRateExceeded, match="non-finite"):
-            dbc_global(nan_band, blobs_2d, reps=400, seed=42)
+        for method in ("bisection", "linear_scan"):
+            with pytest.raises(FailureRateExceeded, match="non-finite"):
+                dbc_global(nan_band, blobs_2d, reps=400, seed=42,
+                           config=CrossingConfig(method=method))
 
     def test_local_batch_fails(self, blobs_2d):
-        with pytest.raises(FailureRateExceeded, match="non-finite"):
-            dbc_local_batch(nan_band, blobs_2d, reps=50, k=8)
+        for method in ("bisection", "linear_scan"):
+            with pytest.raises(FailureRateExceeded, match="non-finite"):
+                dbc_local_batch(nan_band, blobs_2d, reps=50, k=8,
+                                config=CrossingConfig(method=method))
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_endpoint_is_a_failure(self, blobs_2d, linear_model_2d, value):

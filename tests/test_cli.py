@@ -155,6 +155,16 @@ class TestScore:
         assert "--workers" in capsys.readouterr().err
         monkeypatch.setenv("DBC_WORKERS", "-7")
         assert run(argv) == 1
+        capsys.readouterr()
+        monkeypatch.setenv("DBC_WORKERS", "two")
+        assert run(argv) == 1
+        assert "$DBC_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
+        monkeypatch.delenv("DBC_WORKERS")
+        # --k is checked before the data is read (a missing file exits 2)
+        missing = workspace["root"] / "missing.csv"
+        assert run(["score", "--model", workspace["simple"], "--data", missing,
+                    "--mode", "local", "--k", 0, "--out", out]) == 1
+        assert "--k must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
 

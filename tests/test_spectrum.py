@@ -236,12 +236,14 @@ class TestComposedScores:
 
     def test_workers_match_serial(self, blobs_2d, linear_model_2d):
         # 40 pairs make two blocks, so the pool really runs
-        serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
-                                 seed=2, workers=1)
-        parallel = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
-                                   seed=2, workers=4)
-        assert [(s.pair_index, s.value) for s in serial] == \
-               [(s.pair_index, s.value) for s in parallel]
+        for method in ("bisection", "linear_scan"):
+            config = CrossingConfig(method=method)
+            serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
+                                     config=config, seed=2, workers=1)
+            parallel = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
+                                       config=config, seed=2, workers=4)
+            assert [(s.pair_index, s.value) for s in serial] == \
+                   [(s.pair_index, s.value) for s in parallel], method
 
     def test_workers_accept_a_closure(self, blobs_2d):
         """A locally defined callable, which pickle refuses, still scores
