@@ -13,11 +13,21 @@ Decision functions must accept a 2-D array of rows and return a 1-D array
 of values in [0, 1]; ``MlpModel`` instances satisfy this directly. They
 must neither write nor keep the rows they are given: the bisection
 reuses one buffer for the midpoints of every step.
+
+An ``MlpModel`` whose first hidden layer is narrower than its input
+(h1 < d) is searched in its first-layer space. That layer is affine, so
+W1(lam*a + (1-lam)*b) = lam*W1 a + (1-lam)*W1 b: the kernel interpolates
+the h1-wide rows ``rows @ W1.T`` and evaluates only the rest of the net.
+Segment ends are still oriented by the model itself, and the crossing
+points are still interpolated between the input rows. A provenance
+``f_value`` may differ from the input-space search's by a few ulps, and
+so, where f lies within ulps of 0.5, may a halving decision.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ClassPair, LabeledDataset, k_nearest, sample_pairs
+from .model import MlpModel, _first_layer_tail
 
 DEFAULT_EPSILON = 1.0 / 256.0
 MAX_FAILURE_RATE = 0.10
@@ -125,12 +136,29 @@ def _interp(lam, A, B):
     return lam[:, None] * A + (1.0 - lam[:, None]) * B
 
 
+def _search_space(f, rows):
+    """The (decision function, rows) pair that the crossing kernel
+    searches for the feature rows ``rows``. For an ``MlpModel`` with
+    h1 < d these are the net after its first product and the h1-wide
+    products rows @ W1.T, computed once here; a first layer at least as
+    wide as the input would cost more than it saves. Anything else is
+    searched as given."""
+    if (type(f) is MlpModel and len(f.layer_sizes) > 2
+            and f.layer_sizes[1] < f.layer_sizes[0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            projected = np.asarray(rows, dtype=np.float64) @ f.weights[0].T
+        return functools.partial(_first_layer_tail, f), projected
+    return f, rows
+
+
 def _crossing_kernel(f, A, B, config: CrossingConfig):
     """Locate crossings for oriented segments. A rows are on the f < 0.5
     side, B rows on the f >= 0.5 side; the caller has already verified
     this. Returns (lam, f_value, lam_lo, lam_hi) arrays of length m. A
     segment's values depend on the other segments of the call only
     through f, when f's value of a row depends on the rows beside it.
+    Callers pass the rows and f of ``_search_space``, so A and B may be
+    an MLP's first-layer products rather than input rows.
 
     Bisection's lam is the last midpoint it evaluated; the final bracket
     [lam_lo, lam_hi] contains it, straddles 0.5 and has width <= epsilon,
@@ -185,21 +213,30 @@ def _linear_scan_kernel(f, A, B, epsilon: float):
     """Evaluate the grid lam = 0, eps, 2*eps, ... (capped at 1) on every
     segment: lam is the first grid point of least |f - 0.5| (a NaN f wins,
     so it surfaces as a failure), the bracket the grid's sign change
-    nearest to it, the lower on a tie, else [last grid point, 1]. Chunks
-    of at most max(grid size, ROW_BUDGET // d) rows go through f, each
-    reduced before the next, so memory does not grow with the segments.
+    nearest to it, the lower on a tie, else [last grid point, 1]. No f
+    call gets more than max(1, ROW_BUDGET // d) rows: whole grids of
+    several segments, or pieces of one segment's grid. Each chunk of
+    segments is reduced before the next, and only the f-values of its
+    grids are kept, so memory grows neither with the segments nor with d
+    times the grid size.
     """
     grid = np.minimum(epsilon * np.arange(math.floor(1.0 / epsilon) + 1), 1.0)
     m, d = A.shape
     size = grid.size
     chunk = max(1, ROW_BUDGET // (size * d))
+    piece = min(size, max(1, ROW_BUDGET // d))
     lam, fval, lam_lo, lam_hi = (np.empty(m) for _ in range(4))
     steps = np.arange(size - 1)
     for start in range(0, m, chunk):
         part = slice(start, start + chunk)
-        # (segments, grid, d), the bits of each segment's grid alone
-        points = grid[:, None] * A[part, None] + (1.0 - grid)[:, None] * B[part, None]
-        fv = np.asarray(f(points.reshape(-1, d)), dtype=np.float64).reshape(-1, size)
+        a, b = A[part, None], B[part, None]
+        fv = np.empty((len(a), size))
+        for j in range(0, size, piece):
+            lams = grid[j:j + piece]
+            # (segments, grid points, d), the bits of each segment's grid alone
+            points = lams[:, None] * a + (1.0 - lams)[:, None] * b
+            fv[:, j:j + piece] = np.asarray(f(points.reshape(-1, d)),
+                                            dtype=np.float64).reshape(len(a), -1)
         g = fv - 0.5
         best = np.argmin(np.abs(g), axis=1)
         lam[part] = grid[best]
@@ -217,9 +254,12 @@ def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossin
 
     Requires f(a) < 0.5 <= f(b) and a finite f at the located point;
     violations raise CrossingError rather than guessing. Evaluates f once
-    on both ends, then runs the same kernel as a batch of segments, so
-    the result equals that segment's in any batch. Returns the crossing
-    point, its interpolation parameter and the bracket certificate.
+    on both ends, then runs the same kernel as a batch of segments, in
+    the same search space (an MLP with h1 < d in its first-layer space),
+    so the result equals that segment's in any batch wherever f's rows
+    keep their bits across batch sizes. Returns the crossing point, which
+    lies between a and b, its interpolation parameter and the bracket
+    certificate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -227,9 +267,11 @@ def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossin
         raise ValueError(f"a and b must be vectors of equal shape, got {a.shape} and {b.shape}")
     if np.array_equal(a, b):
         raise CrossingError("a and b are identical vectors")
-    ends = np.asarray(f(np.vstack([a, b])), dtype=np.float64)
+    rows = np.vstack([a, b])
+    ends = np.asarray(f(rows), dtype=np.float64)
     _require_straddle(float(ends[0]), float(ends[1]))
-    lam, fval, lo, hi = _crossing_kernel(f, a[None, :], b[None, :], config)
+    g, space = _search_space(f, rows)
+    lam, fval, lo, hi = _crossing_kernel(g, space[:1], space[1:], config)
     if not np.isfinite(fval[0]):
         raise CrossingError(f"non-finite decision value {fval[0]} at lam={lam[0]:.6g}")
     point = lam[0] * a + (1.0 - lam[0]) * b
@@ -248,12 +290,15 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _crossing_sets(f, dataset: LabeledDataset, ends, f_ends, kind: str,
-                   config: CrossingConfig) -> list:
+def _crossing_sets(search, dataset: LabeledDataset, ends, f_ends, kind: str,
+                   config: CrossingConfig, rows=None) -> list:
     """One crossing set per row of ``ends``, columns in segment order.
 
     ``ends`` holds one (row, row) index pair per segment of each set, shape
     (sets, segments, 2), and ``f_ends`` the f-values at those rows.
+    ``search`` is ``_search_space(f, dataset.features[rows])``, where
+    ``rows`` are the sorted dataset rows the ends use (None: every row),
+    so a batch projects each row once.
     Orientation ignores labels: whichever end f puts strictly below 0.5
     becomes the A side. A segment whose ends f puts on the same side, or
     whose f-value is non-finite at an end or at the located crossing, is
@@ -288,9 +333,15 @@ def _crossing_sets(f, dataset: LabeledDataset, ends, f_ends, kind: str,
     results = [_abort(failures[s], segments, int(crossed[s].sum()), kind)
                for s in range(len(ends))]
     live = np.array([r is None for r in results], dtype=bool)
-    A_all, B_all = (dataset.features[oriented[crossed & live[:, None]][:, side]]
-                    for side in (0, 1))
-    lam_all, fval_all, _, _ = _crossing_kernel(f, A_all, B_all, config)
+    kept = oriented[crossed & live[:, None]]
+    A_all, B_all = dataset.features[kept[:, 0]], dataset.features[kept[:, 1]]
+    g, space = search
+    if space is dataset.features:
+        lam_all, fval_all, _, _ = _crossing_kernel(g, A_all, B_all, config)
+    else:
+        at = kept if rows is None else np.searchsorted(rows, kept)
+        lam_all, fval_all, _, _ = _crossing_kernel(g, space[at[:, 0]], space[at[:, 1]],
+                                                   config)
     stop = 0
     for s in np.flatnonzero(live):
         ok = np.flatnonzero(crossed[s])
@@ -355,8 +406,8 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
         raise ValueError(f"reps must be >= 2 for a global set, got {reps}")
     ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
-    return _one_set(_crossing_sets(f, dataset, ends[None], f_rows[ends][None],
-                                   "global", config), "global")
+    return _one_set(_crossing_sets(_search_space(f, dataset.features), dataset, ends[None],
+                                   f_rows[ends][None], "global", config), "global")
 
 
 def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
@@ -401,9 +452,11 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     """
     ends = _local_ends(dataset, [pair], k, expand_around)
     rows, inverse = np.unique(ends, return_inverse=True)
-    f_rows = np.asarray(f(dataset.features[rows]), dtype=np.float64)
-    return _one_set(_crossing_sets(f, dataset, ends, f_rows[inverse.reshape(ends.shape)],
-                                   "local", config), "local")
+    features = dataset.features[rows]
+    f_rows = np.asarray(f(features), dtype=np.float64)
+    return _one_set(_crossing_sets(_search_space(f, features), dataset, ends,
+                                   f_rows[inverse.reshape(ends.shape)], "local", config,
+                                   rows), "local")
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

@@ -175,6 +175,8 @@ def cmd_score(args) -> int:
         raise UsageError(f"--k must be at least 1, got {args.k}")
     if args.reps is not None and args.reps < 1:
         raise UsageError("--reps must be positive")
+    if args.mode == "global" and args.reps is not None and args.reps < 2:
+        raise UsageError(f"--reps must be at least 2 in global mode, got {args.reps}")
     workers = args.workers
     if workers is None:
         text = os.environ.get("DBC_WORKERS", "1")
@@ -285,6 +287,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot2d(args) -> int:
+    # 0 draws no overlay; a global set needs at least 2 points
+    if args.overlay_reps < 0 or args.overlay_reps == 1:
+        raise UsageError(f"--overlay-reps must be 0 or at least 2, got {args.overlay_reps}")
     dataset, data_hash = _load_dataset(args)
     if dataset.dimension != 2:
         raise DatasetError(

@@ -58,6 +58,12 @@ class MlpModel:
     ``weights[i]`` has shape (out_i, in_i) and ``biases[i]`` shape (out_i,).
     Instances are callable: a 1-D input yields a float, a 2-D batch of rows
     yields a 1-D array of probabilities.
+
+    Crossing searches take a net whose first hidden layer is narrower than
+    its input (h1 < n) in its first-layer space: they interpolate the rows
+    x @ W1.T and evaluate only the layers after that product. The crossing
+    points stay in input space; a crossing's ``f_value`` may differ from
+    the forward pass at its point by a few ulps.
     """
 
     layer_sizes: list[int]
@@ -166,16 +172,18 @@ class TrainReport:
     epochs_run: int = 0
 
 
-def _forward_cached(model: MlpModel, X, dropout_masks=None):
+def _forward_cached(model: MlpModel, X, dropout_masks=None, projected=False):
     # inputs[i] is what layer i consumes (post-dropout); hidden[i] is the
     # pre-dropout activation of hidden layer i, needed for derivatives.
     # The bias and activation work in place on each matmul output: the
     # bits of h @ w.T + b without its temporary, and X is never written.
+    # With ``projected``, X already holds the first layer's product
+    # rows @ W1.T, and the loop starts at its bias.
     h = X
     inputs = [h]
     hidden = []
     for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
-        h = h @ w.T
+        h = h.copy() if projected and i == 0 else h @ w.T
         h += b
         if model.hidden_activation == "relu":
             np.maximum(h, 0.0, out=h)
@@ -188,6 +196,17 @@ def _forward_cached(model: MlpModel, X, dropout_masks=None):
     logits = inputs[-1] @ model.weights[-1].T
     logits += model.biases[-1]
     return inputs, hidden, logits[:, 0]
+
+
+def _first_layer_tail(model: MlpModel, Z):
+    """The model's probabilities from its first layer's products
+    Z = rows @ W1.T: the bias, the activation, the remaining layers and
+    the sigmoid. Unlike ``forward`` it never raises: a row of Z that is
+    not finite gives NaN, which a crossing search records as a failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = sigmoid(_forward_cached(model, Z, projected=True)[2])
+    p[~np.isfinite(Z).all(axis=1)] = np.nan
+    return p
 
 
 def _bce(p, y) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
                        CrossingConfig, FailureRateExceeded, _crossing_sets,
-                       _local_ends, global_adversarial_set)
+                       _local_ends, _search_space, global_adversarial_set)
 # dbcbench/tracing.py wraps this name here; the batch itself never calls it
 from .boundary import local_adversarial_set  # noqa: F401
 from .dataset import LabeledDataset, sample_pair
@@ -192,14 +192,14 @@ def _pin_blas_threads() -> None:
         return
 
 
-def _score_block(start: int, f, dataset, ends, f_rows, block, k, config, center,
+def _score_block(start: int, search, dataset, ends, f_rows, block, k, config, center,
                  divisor_mode):
     """LocalScores of pairs start .. start+block-1; a pair whose local set
     aborts gets the message of its FailureRateExceeded instead."""
     ends = ends[start:start + block]
     results = []
-    for i, result in enumerate(_crossing_sets(f, dataset, ends, f_rows[ends], "local",
-                                              config), start):
+    for i, result in enumerate(_crossing_sets(search, dataset, ends, f_rows[ends],
+                                              "local", config), start):
         if isinstance(result, FailureRateExceeded):
             results.append(str(result))
             continue
@@ -241,9 +241,10 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set
     block = min(32, max(1, ROW_BUDGET // ((k + 1) * dataset.dimension)))
-    task = functools.partial(_score_block, f=f, dataset=dataset, ends=ends,
-                             f_rows=f_rows, block=block, k=k, config=config,
-                             center=center, divisor_mode=divisor_mode)
+    task = functools.partial(_score_block, search=_search_space(f, dataset.features),
+                             dataset=dataset, ends=ends, f_rows=f_rows, block=block,
+                             k=k, config=config, center=center,
+                             divisor_mode=divisor_mode)
     starts = range(0, reps, block)
     processes = min(workers, len(starts))
     if processes == 1:

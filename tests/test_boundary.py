@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dbcscore import (CrossingConfig, CrossingError, FailureRateExceeded,
-                      LabeledDataset, dbc_global, dbc_local_batch,
-                      find_crossing, global_adversarial_set, k_nearest,
-                      local_adversarial_set, make_blobs, sample_pair,
-                      sample_pairs, save_adversarial_set)
+                      LabeledDataset, MlpModel, TrainConfig, dbc_global,
+                      dbc_local_batch, eigen_spectrum, find_crossing,
+                      global_adversarial_set, k_nearest, local_adversarial_set,
+                      make_blobs, normalized_entropy, sample_pair, sample_pairs,
+                      save_adversarial_set, train)
 from dbcscore import boundary
+from dbcscore import model as model_module
 from dbcscore.boundary import CrossingFailure, _crossing_kernel
 from tests.conftest import make_zigzag_model
 
@@ -209,11 +211,12 @@ class TestFindCrossing:
             assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
 
     @pytest.mark.parametrize("eps", [1 / 256, 0.15, 1 / 3])
-    @pytest.mark.parametrize("budget", [600, 5000, boundary.ROW_BUDGET])
+    @pytest.mark.parametrize("budget", [7, 600, 5000, boundary.ROW_BUDGET])
     def test_linear_scan_matches_per_segment_oracle(self, monkeypatch, eps, budget):
         """The chunked scan equals the per-segment loop bit for bit in all
-        four outputs, with chunks of one segment, of several, and of the
-        whole batch; the zigzag crosses 0.5 several times on most
+        four outputs, with pieces of one segment's grid (3 rows at budget
+        7, the last piece shorter), chunks of one segment, of several, and
+        of the whole batch; the zigzag crosses 0.5 several times on most
         segments, and 1/0.15 is not integral."""
         monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
         f, A, B = zigzag_segments(400, seed=5)
@@ -235,8 +238,9 @@ class TestFindCrossing:
     def test_linear_scan_rows_per_call_are_bounded(self, blobs_2d, linear_model_2d,
                                                    monkeypatch, budget):
         """No f call of a many-segment linear-scan global set gets more
-        than max(grid size, ROW_BUDGET // d) rows, however many segments
-        the set has."""
+        than max(1, ROW_BUDGET // d) rows, however many segments the set
+        has, even where one segment's grid is larger (257 rows against
+        128 at budget 256)."""
         monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
         calls = []
 
@@ -250,7 +254,7 @@ class TestFindCrossing:
         assert aset.sample_count == reps
         scan = calls[1:]  # the first call evaluates the dataset rows
         assert sum(scan) == reps * 257
-        assert max(scan) <= max(257, budget // blobs_2d.dimension)
+        assert max(scan) <= max(1, budget // blobs_2d.dimension)
 
     def test_swapped_endpoints_land_nearby(self):
         """With a single crossing, swapping roles (and re-orienting) moves
@@ -454,3 +458,143 @@ class TestExport:
         side_rows = sidecar.read_text().strip().splitlines()
         assert side_rows[0] == "pair_index,index_a,index_b,lam,f_value"
         assert len(side_rows) == 11
+
+
+def trained_nets():
+    """8-D blobs and trained nets whose first hidden layer is narrower
+    than the input, with one and two hidden layers, relu and tanh."""
+    ds = make_blobs(per_class=60, dimension=8, center_distance=6.0, spread=1.0, seed=3)
+    nets = {}
+    for sizes in ([8, 4, 1], [8, 5, 3, 1]):
+        for activation in ("relu", "tanh"):
+            nets[f"{sizes}-{activation}"], _ = train(
+                ds, sizes, TrainConfig(epochs=30, learning_rate=0.01, seed=1), activation)
+    return ds, nets
+
+
+def hand_net_2d():
+    """[2, 1, 1] tanh net with h1 = 1 < d = 2, crossing 0.5 at x0 = 0."""
+    return MlpModel([2, 1, 1], [np.array([[4.0, 0.0]]), np.array([[3.0]])],
+                    [np.array([0.0]), np.array([0.0])], "tanh")
+
+
+def within_ulps(x, y, ulps=32):
+    """The two searches round W1(lam*a + (1-lam)*b) differently; on these
+    nets f moved by 14 ulps at most."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return bool((np.abs(x - y) <= ulps * np.spacing(np.maximum(np.abs(x), np.abs(y)))).all())
+
+
+class TestFirstLayerSpace:
+    """An MLP with h1 < d is searched on its first layer's products; the
+    input-space search of the same model is the oracle, reached through a
+    plain callable."""
+
+    def test_same_lam_as_input_space(self):
+        ds, nets = trained_nets()
+        config = CrossingConfig(epsilon=1 / 1024)
+        for name, net in nets.items():
+            plain = lambda X, net=net: net(X)  # noqa: E731
+            assert dbc_local_batch(net, ds, reps=40, k=6, config=config, seed=2) == \
+                dbc_local_batch(plain, ds, reps=40, k=6, config=config, seed=2), name
+            got = global_adversarial_set(net, ds, reps=80, config=config, seed=2)
+            want = global_adversarial_set(plain, ds, reps=80, config=config, seed=2)
+            np.testing.assert_array_equal(got.points, want.points)
+            assert [(p.pair_index, p.index_a, p.index_b, p.lam) for p in got.provenance] == \
+                   [(p.pair_index, p.index_a, p.index_b, p.lam) for p in want.provenance]
+            assert got.failures == want.failures
+            assert within_ulps([p.f_value for p in got.provenance],
+                               [p.f_value for p in want.provenance]), name
+            for rec in got.provenance[:10]:
+                a, b = ds.features[rec.index_a], ds.features[rec.index_b]
+                c, d = find_crossing(net, a, b, config), find_crossing(plain, a, b, config)
+                assert (c.lam, c.lam_lo, c.lam_hi) == (d.lam, d.lam_lo, d.lam_hi)
+                np.testing.assert_array_equal(c.point, d.point)
+                assert within_ulps(c.f_value, d.f_value), name
+
+    def test_batch_equals_lone_searches(self):
+        ds, nets = trained_nets()
+        config = CrossingConfig(epsilon=1 / 1024)
+        for name, net in nets.items():
+            scores = dbc_local_batch(net, ds, reps=40, k=6, config=config, seed=5)
+            for s in scores[::4]:
+                aset = local_adversarial_set(net, ds, sample_pair(ds, s.pair_index, 5), 6,
+                                             config)
+                expected = normalized_entropy(eigen_spectrum(aset))
+                assert (s.sample_count, s.value) == (aset.sample_count, expected.value), name
+            aset = global_adversarial_set(net, ds, reps=40, config=config, seed=5)
+            for column, rec in zip(aset.points.T, aset.provenance):
+                c = find_crossing(net, ds.features[rec.index_a], ds.features[rec.index_b],
+                                  config)
+                assert c.lam == rec.lam, name
+                np.testing.assert_array_equal(c.point, column)
+                assert within_ulps(c.f_value, rec.f_value), name
+
+    def test_kernel_rows_are_h1_wide_only_for_narrow_mlps(self, monkeypatch, blobs_2d,
+                                                          linear_model_2d):
+        """A spy on the kernel's f records the width of every row it gets,
+        and whether the kernel got the callable itself or the net's tail."""
+        seen = []
+        kernel = boundary._crossing_kernel
+
+        def spying_kernel(f, A, B, config):
+            def spy(X):
+                seen.append((np.shape(X)[1], f is searched))
+                return f(X)
+            return kernel(spy, A, B, config)
+
+        monkeypatch.setattr(boundary, "_crossing_kernel", spying_kernel)
+        ds, nets = trained_nets()
+        square, wide = (train(ds, sizes, TrainConfig(epochs=30, learning_rate=0.01,
+                                                      seed=1))[0]
+                        for sizes in ([8, 8, 1], [8, 12, 1]))
+        narrow = nets["[8, 5, 3, 1]-relu"]
+        # (callable, data, width of the kernel's rows, searched as given)
+        cases = [(narrow, ds, 5, False), (square, ds, 8, True), (wide, ds, 8, True),
+                 (lambda X: narrow(X), ds, 8, True), (make_zigzag_model(), blobs_2d, 2, True),
+                 (linear_model_2d, blobs_2d, 2, True), (hand_net_2d(), blobs_2d, 1, False)]
+        for searched, data, width, as_given in cases:
+            for method in ("bisection", "linear_scan"):
+                config = CrossingConfig(method=method)
+                seen.clear()
+                dbc_local_batch(searched, data, reps=6, k=3, config=config, seed=1)
+                aset = global_adversarial_set(searched, data, reps=6, config=config, seed=1)
+                local_adversarial_set(searched, data, sample_pair(data, 0, 1), 3, config)
+                rec = aset.provenance[0]
+                find_crossing(searched, data.features[rec.index_a],
+                              data.features[rec.index_b], config)
+                assert seen and set(seen) == {(width, as_given)}, (width, method)
+
+    def test_tail_maps_non_finite_rows_to_nan(self):
+        """The tail never raises or warns (warnings are errors here): a row
+        of first-layer products holding NaN or inf gives NaN."""
+        net = hand_net_2d()
+        Z = np.array([[0.1], [np.nan], [np.inf], [-np.inf], [-0.3]])
+        p = model_module._first_layer_tail(net, Z)
+        np.testing.assert_array_equal(np.isnan(p), [False, True, True, True, False])
+        np.testing.assert_array_equal(p[[0, 4]], net(np.array([[0.1 / 4.0, 0.0],
+                                                               [-0.3 / 4.0, 0.0]])))
+
+    def test_overflowing_first_layer_fails_without_crossings(self):
+        """First-layer products that overflow to +-inf at the ends leave
+        NaN at every midpoint: each segment is a CrossingFailure, never a
+        crossing, and nothing raises ModelError."""
+        ds = make_blobs(per_class=30, dimension=4, center_distance=10.0, spread=0.5,
+                        seed=8)
+        w1 = np.zeros((2, 4))
+        w1[0, 0], w1[1, 0] = 1e308, 1.0
+        net = MlpModel([4, 2, 1], [w1, np.array([[1.0, 1.0]])],
+                       [np.zeros(2), np.array([-1.0])])
+        config = CrossingConfig(epsilon=1 / 256)
+        pair = sample_pair(ds, 0, seed=1)
+        # the model's own forward pass warns about the overflow at the ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            fa, fb = net(ds.features[[pair.index_a, pair.index_b]])
+            assert fa < 0.5 <= fb and np.isfinite([fa, fb]).all()
+            with pytest.raises(CrossingError, match="non-finite decision value"):
+                find_crossing(net, pair.a, pair.b, config)
+            for build in (lambda: global_adversarial_set(net, ds, reps=20, config=config),
+                          lambda: local_adversarial_set(net, ds, pair, 3, config),
+                          lambda: dbc_local_batch(net, ds, reps=10, k=3, config=config)):
+                with pytest.raises(FailureRateExceeded, match="non-finite decision value"):
+                    build()

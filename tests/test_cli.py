@@ -167,6 +167,27 @@ class TestScore:
         assert "--k must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_global_reps_below_two_usage_error(self, workspace, capsys):
+        """A global set needs two pairs: --reps 1 in global mode and
+        --overlay-reps 1 or below 0 are usage errors, checked before any
+        file is read (a missing file exits 2)."""
+        root = workspace["root"]
+        missing_data, missing_model = root / "missing.csv", root / "missing.json"
+        out = root / "reps1.csv"
+        assert run(["score", "--model", missing_model, "--data", missing_data,
+                    "--mode", "global", "--reps", 1, "--out", out]) == 1
+        assert "--reps must be at least 2 in global mode" in capsys.readouterr().err
+        for reps in (1, -3):
+            assert run(["plot2d", "--model", missing_model, "--data", missing_data,
+                        "--overlay-reps", reps, "--out", out]) == 1
+            assert "--overlay-reps must be 0 or at least 2" in capsys.readouterr().err
+        assert not out.exists()
+        # the smallest accepted values still run
+        assert run(["score", "--model", workspace["simple"], "--data", workspace["data"],
+                    "--mode", "global", "--reps", 2, "--out", out]) == 0
+        assert run(["plot2d", "--model", workspace["simple"], "--data", workspace["data"],
+                    "--overlay-reps", 2, "--grid", 10, "--out", root / "o2.svg"]) == 0
+
 
 @pytest.fixture(scope="module")
 def score_files(workspace):

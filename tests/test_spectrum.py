@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dbcscore import (CrossingConfig, EigenSpectrum, SpectrumError, TrainConfig,
+from dbcscore import (CrossingConfig, EigenSpectrum, MlpModel, SpectrumError, TrainConfig,
                       dbc_global, dbc_local_batch, eigen_spectrum,
                       load_score_batch, local_adversarial_set, make_blobs,
                       normalized_entropy, sample_pair, save_score_batch, train)
@@ -235,15 +235,20 @@ class TestComposedScores:
         assert [s.pair_index for s in s_lin] == [s.pair_index for s in s_zig]
 
     def test_workers_match_serial(self, blobs_2d, linear_model_2d):
-        # 40 pairs make two blocks, so the pool really runs
-        for method in ("bisection", "linear_scan"):
-            config = CrossingConfig(method=method)
-            serial = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
-                                     config=config, seed=2, workers=1)
-            parallel = dbc_local_batch(linear_model_2d, blobs_2d, reps=40, k=4,
-                                       config=config, seed=2, workers=4)
-            assert [(s.pair_index, s.value) for s in serial] == \
-                   [(s.pair_index, s.value) for s in parallel], method
+        # 40 pairs make two blocks, so the pool really runs; the [2, 1, 1]
+        # net is searched in its first-layer space, which the workers get
+        # with the model
+        projected = MlpModel([2, 1, 1], [np.array([[4.0, 0.0]]), np.array([[3.0]])],
+                             [np.array([0.0]), np.array([0.0])], "tanh")
+        for f in (linear_model_2d, projected):
+            for method in ("bisection", "linear_scan"):
+                config = CrossingConfig(method=method)
+                serial = dbc_local_batch(f, blobs_2d, reps=40, k=4,
+                                         config=config, seed=2, workers=1)
+                parallel = dbc_local_batch(f, blobs_2d, reps=40, k=4,
+                                           config=config, seed=2, workers=4)
+                assert [(s.pair_index, s.value) for s in serial] == \
+                       [(s.pair_index, s.value) for s in parallel], method
 
     def test_workers_accept_a_closure(self, blobs_2d):
         """A locally defined callable, which pickle refuses, still scores
