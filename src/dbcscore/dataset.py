@@ -233,13 +233,8 @@ def sample_pair(dataset: LabeledDataset, pair_index: int, seed: int) -> ClassPai
     The pair comes from the sub-seed ``(seed, pair_index)`` alone, so any
     pair can be reproduced without generating its predecessors.
     """
-    rng = np.random.default_rng([seed, pair_index])
-    idx0 = dataset.class_indices(0)
-    idx1 = dataset.class_indices(1)
-    ia = int(idx0[rng.integers(idx0.size)])
-    ib = int(idx1[rng.integers(idx1.size)])
-    return ClassPair(a=dataset.features[ia], b=dataset.features[ib],
-                     index_a=ia, index_b=ib)
+    return _draw_pair(dataset, dataset.class_indices(0), dataset.class_indices(1),
+                      pair_index, seed)
 
 
 def sample_pairs(dataset: LabeledDataset, reps: int, seed: int) -> list[ClassPair]:
@@ -251,4 +246,15 @@ def sample_pairs(dataset: LabeledDataset, reps: int, seed: int) -> list[ClassPai
     """
     if reps < 1:
         raise DatasetError(f"reps must be >= 1, got {reps}")
-    return [sample_pair(dataset, i, seed) for i in range(reps)]
+    idx0, idx1 = dataset.class_indices(0), dataset.class_indices(1)
+    return [_draw_pair(dataset, idx0, idx1, i, seed) for i in range(reps)]
+
+
+def _draw_pair(dataset, idx0, idx1, pair_index, seed) -> ClassPair:
+    """Pair ``pair_index`` of the (seed) sequence, given the row indices of
+    class 0 and class 1."""
+    rng = np.random.default_rng([seed, pair_index])
+    ia = int(idx0[rng.integers(idx0.size)])
+    ib = int(idx1[rng.integers(idx1.size)])
+    return ClassPair(a=dataset.features[ia], b=dataset.features[ib],
+                     index_a=ia, index_b=ib)

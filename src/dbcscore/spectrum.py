@@ -13,13 +13,17 @@ dominates the spectrum. The divisor is min(n, m) by default ("effective");
 whenever m is much smaller than n.
 
 A local batch scores its pairs in fixed blocks: each block's local sets
-share one crossing-kernel call, and each set keeps its own spectrum and
-score, so a score never depends on the block, the batch length or the
-worker count.
+share one crossing-kernel call, and its sets of equal size share one
+stacked eigensolver call. Each set still gets its own checks, eigenvalues
+and entropy, computed with the bits of a lone ``eigen_spectrum`` and
+``normalized_entropy``, so a score never depends on the block, the batch
+length or the worker count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import csv
 import ctypes
 import functools
@@ -32,9 +36,10 @@ import numpy as np
 from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
                        CrossingConfig, FailureRateExceeded, _crossing_sets,
                        _local_ends, _search_space, global_adversarial_set)
-# dbcbench/tracing.py wraps this name here; the batch itself never calls it
+from .dataset import LabeledDataset, sample_pairs
+# dbcbench/tracing.py wraps these names here; the batch itself never calls them
 from .boundary import local_adversarial_set  # noqa: F401
-from .dataset import LabeledDataset, sample_pair
+from .dataset import sample_pair  # noqa: F401
 
 DIVISOR_MODES = ("effective", "paper_n")
 SCORES_FORMAT_VERSION = "dbc-scores/1"
@@ -98,25 +103,32 @@ def eigen_spectrum(points, center: bool = True) -> EigenSpectrum:
     n, m = X.shape
     if m < 2:
         raise SpectrumError(f"at least 2 examples required, got {m}")
+    return EigenSpectrum(eigenvalues=_eigenvalues(X, center), dimension=n,
+                         sample_count=m, centered=center)
+
+
+def _eigenvalues(X, center: bool) -> np.ndarray:
+    """Clamped, nonincreasing eigenvalues of each n x m set in X, shape
+    (..., n, m) to (..., min(n, m)). A stack of sets goes through one
+    batched product and one eigvalsh call, which give each set the bits it
+    gets alone; every check still applies to each set."""
     if not np.isfinite(X).all():
         raise SpectrumError("non-finite entries in adversarial set")
     if center:
-        X = X - X.mean(axis=1, keepdims=True)
-    if n <= m:
-        second_moment = X @ X.T
-    else:
-        second_moment = X.T @ X
+        X = X - X.mean(axis=-1, keepdims=True)
+    Xt = X.swapaxes(-1, -2)
+    second_moment = X @ Xt if X.shape[-2] <= X.shape[-1] else Xt @ X
     eig = np.linalg.eigvalsh(second_moment)
-    top = float(eig[-1])
-    tol = _NEGATIVE_EIG_RTOL * max(top, 0.0) + np.finfo(np.float64).tiny
-    if (eig < -tol).any():
+    tol = _NEGATIVE_EIG_RTOL * np.maximum(eig[..., -1:], 0.0) + np.finfo(np.float64).tiny
+    low = (eig < -tol).any(axis=-1).ravel()
+    if low.any():
+        s = np.flatnonzero(low)[0]
+        worst = eig.reshape(-1, eig.shape[-1])[s]
         raise SpectrumError(
-            f"eigenvalue {eig.min():.6g} is too negative for solver noise "
-            f"(tolerance {-tol:.6g})"
+            f"eigenvalue {worst.min():.6g} is too negative for solver noise "
+            f"(tolerance {-tol.ravel()[s]:.6g})"
         )
-    eig = np.clip(eig, 0.0, None)[::-1]
-    return EigenSpectrum(eigenvalues=eig, dimension=n, sample_count=m,
-                         centered=center)
+    return np.clip(eig, 0.0, None)[..., ::-1]
 
 
 def normalized_entropy(spectrum: EigenSpectrum,
@@ -127,23 +139,26 @@ def normalized_entropy(spectrum: EigenSpectrum,
     0 log 0 = 0. An all-zero spectrum scores 0 (a single repeated point is
     maximally simple), as does a divisor of 1.
     """
+    divisor = _divisor(spectrum.dimension, spectrum.sample_count, divisor_mode)
+    return DbcScore(value=_entropy(spectrum.eigenvalues, divisor), spectrum=spectrum,
+                    normalization_divisor=divisor)
+
+
+def _divisor(n: int, m: int, divisor_mode: str) -> int:
     if divisor_mode not in DIVISOR_MODES:
         raise SpectrumError(f"divisor_mode must be one of {DIVISOR_MODES}")
-    eig = spectrum.eigenvalues
-    if divisor_mode == "paper_n":
-        divisor = spectrum.dimension
-    else:
-        divisor = min(spectrum.dimension, spectrum.sample_count)
+    return n if divisor_mode == "paper_n" else min(n, m)
+
+
+def _entropy(eig: np.ndarray, divisor: int) -> float:
+    """The score of one set's eigenvalues, in [0, 1]."""
     total = float(eig.sum())
     if total == 0.0 or divisor <= 1:
-        return DbcScore(value=0.0, spectrum=spectrum,
-                        normalization_divisor=divisor)
+        return 0.0
     p = eig / total
     positive = p[p > 0.0]
     entropy = float(-(positive * np.log(positive)).sum())
-    value = min(max(entropy / math.log(divisor), 0.0), 1.0)
-    return DbcScore(value=value, spectrum=spectrum,
-                    normalization_divisor=divisor)
+    return min(max(entropy / math.log(divisor), 0.0), 1.0)
 
 
 def dbc_global(f, dataset: LabeledDataset, reps: int,
@@ -169,45 +184,72 @@ _pool_task = None
 def _set_pool_task(task) -> None:
     global _pool_task
     _pool_task = task
-    _pin_blas_threads()
 
 
 def _run_pool_task(start: int):
     return _pool_task(start)
 
 
-def _pin_blas_threads() -> None:
-    """Run this worker's BLAS on one thread, so that the workers of a pool
-    do not oversubscribe the cores between them. Does nothing where numpy
-    does not bundle scipy-openblas."""
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's bundled scipy-openblas thread count, or None
+    where numpy does not bundle scipy-openblas."""
     for path in Path(np.__file__).parent.with_name("numpy.libs").glob(
             "libscipy_openblas64_*"):
         try:
-            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
-        set_threads(1)
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run this process's BLAS on one thread inside the block, and restore
+    its own count on leaving. Workers forked inside the block inherit the
+    one thread. Setting a count restarts OpenBLAS's thread pool, whose
+    new thread spins for a while: in each worker it would spin on the
+    cores the workers share, and so it would in this process if the count
+    came back before the workers finish."""
+    blas = _openblas()
+    if blas is None:
+        yield
         return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _score_block(start: int, search, dataset, ends, f_rows, block, k, config, center,
                  divisor_mode):
     """LocalScores of pairs start .. start+block-1; a pair whose local set
-    aborts gets the message of its FailureRateExceeded instead."""
+    aborts gets the message of its FailureRateExceeded instead. Sets of
+    equal size are stacked into one ``_eigenvalues`` call."""
     ends = ends[start:start + block]
-    results = []
-    for i, result in enumerate(_crossing_sets(search, dataset, ends, f_rows[ends],
-                                              "local", config), start):
-        if isinstance(result, FailureRateExceeded):
-            results.append(str(result))
-            continue
-        points = result[0]
-        score = normalized_entropy(eigen_spectrum(points.T, center), divisor_mode)
-        results.append(LocalScore(pair_index=i, k=k, sample_count=points.shape[0],
-                                  value=score.value))
-    return results
+    results = _crossing_sets(search, dataset, ends, f_rows[ends], "local", config)
+    sizes = {}
+    for i, result in enumerate(results):
+        if not isinstance(result, FailureRateExceeded):
+            sizes.setdefault(result[0].shape[0], []).append(i)
+    for m, members in sizes.items():
+        # (sets, n, m): each set's examples as columns, as eigen_spectrum takes them
+        stack = np.stack([results[i][0] for i in members]).swapaxes(1, 2)
+        divisor = _divisor(dataset.dimension, m, divisor_mode)
+        for i, eig in zip(members, _eigenvalues(stack, center)):
+            results[i] = LocalScore(pair_index=start + i, k=k, sample_count=m,
+                                    value=_entropy(eig, divisor))
+    return [str(r) if isinstance(r, FailureRateExceeded) else r for r in results]
 
 
 def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
@@ -223,20 +265,23 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     goes to block i // P, where P = min(32, max(1, ROW_BUDGET // ((k+1) *
     dimension))) depends only on k and the dimension; each block's
     segments go through one crossing-kernel call, and each pair's set
-    gets its own spectrum. Blocks may fan out over min(``workers``,
-    blocks) processes, each of which receives ``f`` and ``dataset`` once,
-    when it starts and pins its BLAS to one thread; a single block runs
-    serially. Since a block's rows never depend on ``workers`` or
-    ``reps``, results are identical at any worker count (at least 1).
-    Scores that fail (too many crossing failures inside one local set) are
-    dropped; more than MAX_FAILURE_RATE of them dropped aborts the batch.
+    gets its own spectrum, though the block's sets of equal size share one
+    stacked eigensolver call. Blocks may fan out over min(``workers``,
+    blocks) processes; a single block runs serially. The pool forks its
+    workers, each of which receives ``f`` and ``dataset`` once, when it
+    starts. It asks for fork by name, since forkserver (Python 3.14's
+    default on Linux) would pickle ``f``, which fails for a closure, and
+    would not hand over the parent's BLAS thread count. The parent runs
+    its BLAS on one thread while the pool runs, so each worker inherits
+    one thread, and then restores its own count. Since a block's rows
+    never depend on ``workers`` or ``reps``, results are identical at any
+    worker count (at least 1). Scores that fail (too many crossing
+    failures inside one local set) are dropped; more than
+    MAX_FAILURE_RATE of them dropped aborts the batch.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    pairs = [sample_pair(dataset, i, seed) for i in range(reps)]
-    ends = _local_ends(dataset, pairs, k, expand_around)
+    ends = _local_ends(dataset, sample_pairs(dataset, reps, seed), k, expand_around)
     f_rows = np.asarray(f(dataset.features), dtype=np.float64)
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set
@@ -250,10 +295,10 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     if processes == 1:
         blocks = map(task, starts)
     else:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=processes,
-                                    initializer=_set_pool_task,
-                                    initargs=(task,)) as pool:
+        import multiprocessing  # only pools need it; it adds to every start-up
+        with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+                max_workers=processes, mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_pool_task, initargs=(task,)) as pool:
             blocks = list(pool.map(_run_pool_task, starts,
                                    chunksize=max(1, len(starts) // (processes * 8))))
     results = [r for scores in blocks for r in scores]

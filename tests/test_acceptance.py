@@ -2,15 +2,16 @@
 
 Heavy criteria (5-8) are deterministic: every dataset, split, training run
 and pair draw is seeded, so the recorded pass counts reproduce exactly.
-Criteria 6 and 8 fan their seeds out over two worker processes, each with
-its BLAS pinned to one thread, to stay inside their runtime budgets on a
-two-core box.
+Criteria 6 and 8 fan their seeds out over two forked worker processes,
+which inherit the one BLAS thread the parent holds while the pool runs,
+to stay inside their runtime budgets on a two-core box.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines live; they
 are also echoed in the terminal summary.
 """
 
 import concurrent.futures as cf
+import multiprocessing
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from dbcscore import (CrossingConfig, MlpModel, TrainConfig, dbc_global,
                       find_crossing, make_blobs, normalized_entropy, train)
 from dbcscore.dataset import LabeledDataset, minmax_scale
-from dbcscore.spectrum import (EigenSpectrum, _pin_blas_threads, dbc_local_batch,
+from dbcscore.spectrum import (EigenSpectrum, _one_blas_thread, dbc_local_batch,
                                eigen_spectrum)
 from dbcscore.stats import signed_rank_test
 from dbcscore import stats as stats_mod
@@ -27,6 +28,14 @@ from dbcscore.cli import main as cli_main
 
 from tests.test_boundary import sigmoid_along_segment
 from tests.test_spectrum import charpoly_eigenvalues
+
+
+def _map_on_two_workers(fn, seeds):
+    """fn over seeds on two workers forked while this process runs its BLAS
+    on one thread, as a pooled local batch forks them."""
+    with _one_blas_thread(), cf.ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, seeds))
 
 
 def linear_model_2d():
@@ -272,8 +281,7 @@ def _criterion6_seed(seed):
 @pytest.fixture(scope="module")
 def criterion6_results():
     t0 = time.time()
-    with cf.ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
-        results = list(pool.map(_criterion6_seed, range(10)))
+    results = _map_on_two_workers(_criterion6_seed, range(10))
     elapsed = time.time() - t0
     return results, elapsed
 
@@ -361,8 +369,7 @@ def _criterion8_seed(seed):
 
 def test_criterion_8_high_dimension_regime(record_criterion):
     t0 = time.time()
-    with cf.ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
-        results = list(pool.map(_criterion8_seed, range(10)))
+    results = _map_on_two_workers(_criterion8_seed, range(10))
     elapsed = time.time() - t0
     wins = sum(r["ok"] for r in results)
     all_valid = all(r["sizes_ok"] and r["finite_ok"] for r in results)

@@ -187,6 +187,18 @@ class TestSamplePairs:
         for p, q in zip(serial, reversed(shuffled)):
             assert (p.index_a, p.index_b) == (q.index_a, q.index_b)
 
+    def test_batch_draws_equal_lone_draws(self):
+        """sample_pairs looks each class's rows up once per call; every pair
+        it returns is still the pair sample_pair draws alone, also when the
+        classes interleave."""
+        rng = np.random.default_rng(3)
+        ds = LabeledDataset(rng.normal(size=(50, 3)), rng.permutation(np.arange(50) % 2))
+        for i, pair in enumerate(sample_pairs(ds, reps=60, seed=21)):
+            lone = sample_pair(ds, i, seed=21)
+            assert (pair.index_a, pair.index_b) == (lone.index_a, lone.index_b)
+            np.testing.assert_array_equal(pair.a, lone.a)
+            np.testing.assert_array_equal(pair.b, lone.b)
+
     def test_same_seed_reproducible(self, blobs_2d):
         a = sample_pairs(blobs_2d, reps=100, seed=4)
         b = sample_pairs(blobs_2d, reps=100, seed=4)

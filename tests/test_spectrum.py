@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from dbcscore import (CrossingConfig, EigenSpectrum, MlpModel, SpectrumError, TrainConfig,
-                      dbc_global, dbc_local_batch, eigen_spectrum,
-                      load_score_batch, local_adversarial_set, make_blobs,
-                      normalized_entropy, sample_pair, save_score_batch, train)
+from dbcscore import (CrossingConfig, EigenSpectrum, FailureRateExceeded, LabeledDataset,
+                      MlpModel, SpectrumError, TrainConfig, dbc_global, dbc_local_batch,
+                      eigen_spectrum, load_score_batch, local_adversarial_set,
+                      make_blobs, normalized_entropy, sample_pair, save_score_batch,
+                      train)
+from dbcscore import spectrum
 from dbcscore.spectrum import LocalScore
 from tests.conftest import make_zigzag_model
 
@@ -336,6 +339,97 @@ class TestComposedScores:
                                          6, config, expand_around)
             expected = normalized_entropy(eigen_spectrum(aset, center), divisor_mode)
             assert (s.k, s.sample_count, s.value) == (6, aset.sample_count, expected.value)
+
+    @pytest.mark.parametrize("center,divisor_mode", [(True, "effective"),
+                                                     (False, "paper_n")])
+    @pytest.mark.parametrize("dimension", [2, 30])
+    def test_stacked_spectra_equal_lone_spectra(self, dimension, center, divisor_mode):
+        """A block stacks its sets of equal size into one eigensolver call;
+        each score still equals the lone spectrum and entropy of its set,
+        bit for bit. Two class-1 rows give f = NaN, so the sets that reach
+        them lose a column or two, and the first block of 32 pairs holds sets
+        of 20 columns beside smaller ones; at d = 2 the spectrum comes from
+        X X', at d = 30 from X'X."""
+        ds = make_blobs(per_class=60, dimension=dimension, center_distance=4.0,
+                        spread=1.0, seed=5)
+        bad = ds.features[ds.class_indices(1)[[3, 40]], 1]
+
+        def f(x):
+            x = np.atleast_2d(x)
+            z = 4.0 * (x[:, 0] + np.sin(2.0 * x[:, 1]))
+            return np.where(np.isin(x[:, 1], bad), np.nan, 1.0 / (1.0 + np.exp(-z)))
+
+        config = CrossingConfig(epsilon=1 / 1024)
+        scores = dbc_local_batch(f, ds, reps=40, k=19, config=config, seed=3,
+                                 center=center, divisor_mode=divisor_mode)
+        first_block = {s.sample_count for s in scores if s.pair_index < 32}
+        assert 20 in first_block and len(first_block) > 1
+        for s in scores:
+            aset = local_adversarial_set(f, ds, sample_pair(ds, s.pair_index, 3), 19,
+                                         config)
+            expected = normalized_entropy(eigen_spectrum(aset.points, center),
+                                          divisor_mode)
+            assert (s.sample_count, s.value) == (aset.sample_count, expected.value)
+
+    @pytest.mark.parametrize("dimension", [2, 8])
+    def test_stacked_set_of_identical_points_scores_zero(self, dimension):
+        """Class 1 holds four copies of one row, so at k = 3 a pair whose
+        class-1 end is a copy crosses four identical segments: its set is
+        one repeated point, which scores 0 in a stack beside sets that do
+        not. Integer features keep every crossing point and its mean exact."""
+        rng = np.random.default_rng(8)
+        features = np.vstack([rng.integers(-40, -3, (30, dimension)),
+                              np.full((4, dimension), 3),
+                              rng.integers(4, 40, (16, dimension))]).astype(np.float64)
+        ds = LabeledDataset(features, np.repeat([0, 1], [30, 20]))
+        zigzag = make_zigzag_model()
+        scores = dbc_local_batch(zigzag, ds, reps=32, k=3, seed=1)
+        for s in scores:
+            pair = sample_pair(ds, s.pair_index, 1)
+            aset = local_adversarial_set(zigzag, ds, pair, 3)
+            assert s.value == normalized_entropy(eigen_spectrum(aset)).value
+            assert (s.value == 0.0) == (30 <= pair.index_b < 34)
+        assert any(s.value == 0.0 for s in scores)
+
+    def test_one_sets_negative_eigenvalue_still_raises(self, blobs_2d, monkeypatch):
+        """The tolerance check runs for every set of a stack: an eigenvalue
+        far below -tolerance in the second set alone aborts the batch."""
+        eigvalsh = np.linalg.eigvalsh
+
+        def corrupted(a):
+            eig = eigvalsh(a)
+            if eig.ndim == 2 and len(eig) > 1:
+                eig[1, 0] = -1e-6 * eig[1, -1]
+            return eig
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+        with pytest.raises(SpectrumError, match="too negative"):
+            dbc_local_batch(make_zigzag_model(), blobs_2d, reps=10, k=4, seed=2)
+
+    def test_pool_workers_inherit_one_blas_thread(self, blobs_2d, linear_model_2d,
+                                                  tmp_path):
+        """Forked workers run their BLAS on the one thread the parent holds
+        while the pool runs, so none starts a thread of its own, and the
+        parent gets its own count back, also from a batch that aborts."""
+        if not os.path.isdir("/proc/self/task") or spectrum._openblas() is None:
+            pytest.skip("needs /proc and numpy's bundled scipy-openblas")
+        get_threads = spectrum._openblas()[0]
+        parent, before = os.getpid(), get_threads()
+
+        def f(x):
+            if os.getpid() != parent:
+                threads = len(os.listdir("/proc/self/task"))
+                (tmp_path / str(os.getpid())).write_text(f"{threads} {get_threads()}")
+            return linear_model_2d(x)
+
+        dbc_local_batch(f, blobs_2d, reps=100, k=3, seed=2, workers=2)
+        seen = [p.read_text() for p in tmp_path.iterdir()]
+        assert seen and set(seen) == {"1 1"}
+        assert get_threads() == before
+        with pytest.raises(FailureRateExceeded):
+            dbc_local_batch(lambda x: np.full(len(x), 0.7), blobs_2d, reps=100, k=3,
+                            seed=2, workers=2)
+        assert get_threads() == before
 
     def test_k_sweep_batches(self, blobs_2d, linear_model_2d):
         for k in (3, 5, 10):
