@@ -189,9 +189,12 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
         mid = 0.5 * (lo[active] + hi[active])
         a, b = (A, B) if n == m else (A[active], B[active])
         x, y = X[:n], Y[:n]
-        np.multiply(mid[:, None], a, out=x)
-        np.multiply(1.0 - mid[:, None], b, out=y)
-        x += y
+        # an MLP's first-layer products may overflow to +-inf at the ends;
+        # they give NaN rows here, which its tail maps to a NaN f, a failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(mid[:, None], a, out=x)
+            np.multiply(1.0 - mid[:, None], b, out=y)
+            x += y
         fm = np.asarray(f(x), dtype=np.float64)
         g = fm - 0.5
         lam[active] = mid
@@ -233,8 +236,10 @@ def _linear_scan_kernel(f, A, B, epsilon: float):
         fv = np.empty((len(a), size))
         for j in range(0, size, piece):
             lams = grid[j:j + piece]
-            # (segments, grid points, d), the bits of each segment's grid alone
-            points = lams[:, None] * a + (1.0 - lams)[:, None] * b
+            # (segments, grid points, d), the bits of each segment's grid alone;
+            # overflowed +-inf ends give NaN rows, as in the bisection
+            with np.errstate(over="ignore", invalid="ignore"):
+                points = lams[:, None] * a + (1.0 - lams)[:, None] * b
             fv[:, j:j + piece] = np.asarray(f(points.reshape(-1, d)),
                                             dtype=np.float64).reshape(len(a), -1)
         g = fv - 0.5

@@ -7,11 +7,15 @@ SGD or Adam; dropout uses inverted scaling during training so that
 evaluation-mode forward passes never depend on the dropout configuration.
 
 Evaluation and training share one layer loop, ``_forward_cached``.
-Training holds every weight and bias in one flat float64 buffer and runs
-one in-place optimizer update over it per step; a trained model's arrays
-are reshaped views of that buffer. ``train`` rebinds ``model.weights[i]``
-and ``model.biases[i]`` to those views once, before the first step, and
-nothing else may rebind them while a training run is in progress.
+Training holds every weight and bias in one flat float64 buffer, and
+every gradient in a second one that backprop writes into directly; a
+trained model's arrays are reshaped views of the first buffer. ``train``
+rebinds ``model.weights[i]`` and ``model.biases[i]`` to those views once,
+before the first step, and nothing else may rebind them while a training
+run is in progress. Each step's optimizer update is elementwise and runs
+in place over chunks of ``_UPDATE_CHUNK`` parameters, so that the chunk's
+slices of the six buffers it touches stay in a core's L2 cache; a net of
+at most that many parameters is one chunk.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ import numpy as np
 MODEL_FORMAT_VERSION = "dbc-model/1"
 
 _HIDDEN_ACTIVATIONS = ("relu", "tanh")
+
+# parameters per optimizer-update chunk: six float64 slices of 256 KB
+_UPDATE_CHUNK = 2 ** 15
 
 
 class ModelError(ValueError):
@@ -221,11 +228,14 @@ def batch_loss(model: MlpModel, X, y) -> float:
     return _bce(sigmoid(logits), np.asarray(y, dtype=np.float64))
 
 
-def batch_gradients(model: MlpModel, X, y, dropout_masks=None):
+def batch_gradients(model: MlpModel, X, y, dropout_masks=None, out=None):
     """Backprop gradients of mean BCE w.r.t. every weight and bias.
 
     Returns (grads_w, grads_b, loss). With ``dropout_masks`` given, the same
-    masks scale activations on the forward and backward passes.
+    masks scale activations on the forward and backward passes. With
+    ``out=(grads_w, grads_b)``, lists of arrays shaped like the weights and
+    biases, the gradients are written into those arrays and they are
+    returned; without it they are fresh arrays, with the same bits.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -234,11 +244,13 @@ def batch_gradients(model: MlpModel, X, y, dropout_masks=None):
     m = X.shape[0]
     loss = _bce(p, y)
 
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    if out is None:
+        out = ([np.empty_like(w) for w in model.weights],
+               [np.empty_like(b) for b in model.biases])
+    grads_w, grads_b = out
     delta = ((p - y) / m)[:, None]
-    grads_w[-1] = delta.T @ inputs[-1]
-    grads_b[-1] = delta.sum(axis=0)
+    np.matmul(delta.T, inputs[-1], out=grads_w[-1])
+    delta.sum(axis=0, out=grads_b[-1])
     for i in range(len(model.weights) - 2, -1, -1):
         delta = delta @ model.weights[i + 1]
         if dropout_masks is not None and dropout_masks[i] is not None:
@@ -247,8 +259,8 @@ def batch_gradients(model: MlpModel, X, y, dropout_masks=None):
             delta = delta * (hidden[i] > 0)
         else:
             delta = delta * (1.0 - hidden[i] ** 2)
-        grads_w[i] = delta.T @ inputs[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, inputs[i], out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
     return grads_w, grads_b, loss
 
 
@@ -287,17 +299,30 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
     y = dataset.labels.astype(np.float64)
     n = X.shape[0]
 
-    # every weight and bias lives in one flat buffer; the model's arrays are
-    # views of it, so one in-place update per step moves every layer
+    # every weight and bias lives in one flat buffer and every gradient in
+    # another; the model's arrays are views of the first and backprop
+    # writes into views of the second, so no step copies a layer
     arrays = model.weights + model.biases
     params = np.concatenate([a.ravel() for a in arrays])
+    grads = np.empty_like(params)
     bounds = np.cumsum([a.size for a in arrays])[:-1]
-    views = [part.reshape(a.shape) for part, a in zip(np.split(params, bounds), arrays)]
     n_layers = len(model.weights)
-    model.weights[:] = views[:n_layers]
-    model.biases[:] = views[n_layers:]
-    grads, s, r = (np.empty_like(params) for _ in range(3))
+
+    def views(flat):
+        return [part.reshape(a.shape) for part, a in zip(np.split(flat, bounds), arrays)]
+
+    param_views, grad_views = views(params), views(grads)
+    model.weights[:] = param_views[:n_layers]
+    model.biases[:] = param_views[n_layers:]
+    grads_out = (grad_views[:n_layers], grad_views[n_layers:])
     m, v = np.zeros_like(params), np.zeros_like(params)
+    # each chunk is the same slice of m, v, grads and params, the last one
+    # maybe short, with that slice's length of the scratch buffers s and r
+    chunk = min(params.size, _UPDATE_CHUNK)
+    s, r = np.empty(chunk), np.empty(chunk)
+    cuts = range(chunk, params.size, chunk)
+    chunks = [(mc, vc, gc, pc, s[:pc.size], r[:pc.size])
+              for mc, vc, gc, pc in zip(*(np.split(a, cuts) for a in (m, v, grads, params)))]
     lr = config.learning_rate
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
@@ -311,33 +336,36 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
             masks = [None if rate == 0.0 else
                      (dropout_rng.random((batch.size, size)) >= rate) / (1.0 - rate)
                      for size, rate in zip(sizes[1:-1], rates)] if rates else None
-            grads_w, grads_b, loss = batch_gradients(model, X[batch], y[batch], masks)
+            _, _, loss = batch_gradients(model, X[batch], y[batch], masks, out=grads_out)
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch)
             epoch_losses.append(loss)
             t += 1
-            np.concatenate([g.ravel() for g in grads_w + grads_b], out=grads)
             if config.optimizer == "sgd":
-                np.multiply(lr, grads, out=s)
-                params -= s
+                for _, _, gc, pc, sc, _ in chunks:
+                    np.multiply(lr, gc, out=sc)
+                    pc -= sc
                 continue
             # Adam, in the op order of lr * m_hat / (sqrt(v_hat) + eps) with
             # m_hat = m / (1 - beta1**t) and v_hat = v / (1 - beta2**t);
-            # that order fixes the bits of every trained model
-            m *= beta1
-            np.multiply(1 - beta1, grads, out=s)
-            m += s
-            v *= beta2
-            np.multiply(1 - beta2, grads, out=s)
-            s *= grads
-            v += s
-            np.divide(m, 1 - beta1 ** t, out=s)
-            np.divide(v, 1 - beta2 ** t, out=r)
-            np.sqrt(r, out=r)
-            r += eps
-            s *= lr
-            s /= r
-            params -= s
+            # that order fixes the bits of every trained model, and each op
+            # is elementwise, so running it chunk by chunk keeps them
+            bias1, bias2 = 1 - beta1 ** t, 1 - beta2 ** t
+            for mc, vc, gc, pc, sc, rc in chunks:
+                mc *= beta1
+                np.multiply(1 - beta1, gc, out=sc)
+                mc += sc
+                vc *= beta2
+                np.multiply(1 - beta2, gc, out=sc)
+                sc *= gc
+                vc += sc
+                np.divide(mc, bias1, out=sc)
+                np.divide(vc, bias2, out=rc)
+                np.sqrt(rc, out=rc)
+                rc += eps
+                sc *= lr
+                sc /= rc
+                pc -= sc
         acc = float(np.mean(model.predict(X) == dataset.labels))
         report.epoch_accuracy.append(acc)
         report.epoch_loss.append(float(np.mean(epoch_losses)))

@@ -158,7 +158,9 @@ def _entropy(eig: np.ndarray, divisor: int) -> float:
     p = eig / total
     positive = p[p > 0.0]
     entropy = float(-(positive * np.log(positive)).sum())
-    return min(max(entropy / math.log(divisor), 0.0), 1.0)
+    # a rank-1 set's entropy is -(1 * log 1) = -0.0; max keeps its first
+    # argument on a tie, so 0.0 goes first and no score reads -0.0
+    return min(max(0.0, entropy / math.log(divisor)), 1.0)
 
 
 def dbc_global(f, dataset: LabeledDataset, reps: int,

@@ -575,26 +575,36 @@ class TestFirstLayerSpace:
         np.testing.assert_array_equal(p[[0, 4]], net(np.array([[0.1 / 4.0, 0.0],
                                                                [-0.3 / 4.0, 0.0]])))
 
-    def test_overflowing_first_layer_fails_without_crossings(self):
+    def test_overflowing_first_layer_fails_without_crossings(self, monkeypatch):
         """First-layer products that overflow to +-inf at the ends leave
-        NaN at every midpoint: each segment is a CrossingFailure, never a
-        crossing, and nothing raises ModelError."""
+        NaN at every interpolated point, for both methods: each segment is
+        a CrossingFailure, never a crossing, nothing raises ModelError, and
+        nothing but the model's own forward pass at the ends meets an
+        overflow or an invalid operation."""
         ds = make_blobs(per_class=30, dimension=4, center_distance=10.0, spread=0.5,
                         seed=8)
         w1 = np.zeros((2, 4))
         w1[0, 0], w1[1, 0] = 1e308, 1.0
         net = MlpModel([4, 2, 1], [w1, np.array([[1.0, 1.0]])],
                        [np.zeros(2), np.array([-1.0])])
-        config = CrossingConfig(epsilon=1 / 256)
+        forward = MlpModel.forward
+
+        def forward_past_overflow(self, x):
+            with np.errstate(over="ignore"):
+                return forward(self, x)
+
+        monkeypatch.setattr(MlpModel, "forward", forward_past_overflow)
+        monkeypatch.setattr(MlpModel, "__call__", forward_past_overflow)
         pair = sample_pair(ds, 0, seed=1)
-        # the model's own forward pass warns about the overflow at the ends
-        with np.errstate(over="ignore", invalid="ignore"):
-            fa, fb = net(ds.features[[pair.index_a, pair.index_b]])
-            assert fa < 0.5 <= fb and np.isfinite([fa, fb]).all()
-            with pytest.raises(CrossingError, match="non-finite decision value"):
-                find_crossing(net, pair.a, pair.b, config)
-            for build in (lambda: global_adversarial_set(net, ds, reps=20, config=config),
-                          lambda: local_adversarial_set(net, ds, pair, 3, config),
-                          lambda: dbc_local_batch(net, ds, reps=10, k=3, config=config)):
-                with pytest.raises(FailureRateExceeded, match="non-finite decision value"):
-                    build()
+        fa, fb = net(ds.features[[pair.index_a, pair.index_b]])
+        assert fa < 0.5 <= fb and np.isfinite([fa, fb]).all()
+        for method in ("bisection", "linear_scan"):
+            config = CrossingConfig(epsilon=1 / 256, method=method)
+            with np.errstate(over="raise", invalid="raise"):
+                with pytest.raises(CrossingError, match="non-finite decision value"):
+                    find_crossing(net, pair.a, pair.b, config)
+                for build in (lambda: global_adversarial_set(net, ds, reps=20, config=config),
+                              lambda: local_adversarial_set(net, ds, pair, 3, config),
+                              lambda: dbc_local_batch(net, ds, reps=10, k=3, config=config)):
+                    with pytest.raises(FailureRateExceeded, match="non-finite decision value"):
+                        build()

@@ -6,6 +6,7 @@ import pytest
 
 from dbcscore import (LabeledDataset, MlpModel, ModelError, TrainConfig,
                       init_model, load_model, make_blobs, save_model, train)
+from dbcscore import model as model_module
 from dbcscore.model import batch_gradients, batch_loss, sigmoid
 
 
@@ -291,6 +292,33 @@ class TestGradients:
         numeric = flatten(fd_w, fd_b)
         assert np.linalg.norm(analytic - numeric) <= 1e-4 * max(np.linalg.norm(numeric), 1e-12)
 
+    @pytest.mark.parametrize("activation,rates", [("relu", ()), ("tanh", (0.5, 0.0))])
+    def test_gradients_written_into_out(self, activation, rates):
+        """With ``out``, backprop writes into the given arrays, here views
+        of one flat buffer, and returns those very arrays, with the bits
+        of the call without ``out``."""
+        rng = np.random.default_rng(55)
+        sizes = [4, 6, 5, 1]
+        model = init_model(sizes, seed=13, hidden_activation=activation)
+        X = rng.normal(size=(9, 4))
+        y = rng.integers(0, 2, size=9).astype(float)
+        masks = [None if rate == 0.0 else (rng.random((9, width)) >= rate) / (1.0 - rate)
+                 for width, rate in zip(sizes[1:-1], rates)] if rates else None
+        arrays = model.weights + model.biases
+        flat = np.full(sum(a.size for a in arrays), np.nan)
+        bounds = np.cumsum([a.size for a in arrays])[:-1]
+        views = [part.reshape(a.shape) for part, a in zip(np.split(flat, bounds), arrays)]
+        out = (views[:3], views[3:])
+        got_w, got_b, got_loss = batch_gradients(model, X, y, masks, out=out)
+        want_w, want_b, want_loss = batch_gradients(model, X, y, masks)
+        assert got_w is out[0] and got_b is out[1]
+        assert all(a is b for a, b in zip(got_w + got_b, views))
+        for got, want in zip(got_w + got_b, want_w + want_b):
+            assert not np.shares_memory(got, want)
+            assert np.array_equal(got, want)
+        assert got_loss == want_loss
+        assert np.array_equal(flat, flatten(want_w, want_b))
+
 
 class TestTrain:
     def test_separable_blobs_reach_full_accuracy(self, blobs_2d):
@@ -339,6 +367,31 @@ class TestTrain:
                              dropout_rates=rates)
         net, report = train(ds, [3, 6, 5, 1], config, hidden_activation=activation)
         expected, losses = per_array_update_train(ds, [3, 6, 5, 1], config, activation)
+        for got, want in zip(net.weights + net.biases, expected.weights + expected.biases):
+            assert np.array_equal(got, want)
+        assert report.epoch_loss == losses
+
+    @pytest.mark.parametrize("optimizer,rates,activation,sizes", [
+        ("adam", (), "relu", [3, 25000, 1]),
+        ("sgd", (), "tanh", [3, 25000, 1]),
+        ("adam", (0.5,), "relu", [3, 300, 300, 1]),
+    ])
+    def test_multi_chunk_update_matches_per_array_update_bitwise(self, optimizer, rates,
+                                                                 activation, sizes):
+        """Nets of more than two update chunks and a short last one (125,001
+        and 91,801 parameters, one dropout rate for both hidden layers of
+        the second) keep the bits of one in-place update per array: weights,
+        biases and epoch losses over three epochs with a short last batch."""
+        chunk = model_module._UPDATE_CHUNK
+        count = init_model(sizes, seed=0).parameter_count()
+        assert count > 2 * chunk and count % chunk != 0
+        ds = make_blobs(per_class=20, dimension=3, center_distance=3.0,
+                        spread=1.0, seed=32)
+        config = TrainConfig(epochs=3, batch_size=16, seed=14, optimizer=optimizer,
+                             learning_rate=0.05 if optimizer == "sgd" else 0.01,
+                             dropout_rates=rates)
+        net, report = train(ds, sizes, config, hidden_activation=activation)
+        expected, losses = per_array_update_train(ds, sizes, config, activation)
         for got, want in zip(net.weights + net.biases, expected.weights + expected.biases):
             assert np.array_equal(got, want)
         assert report.epoch_loss == losses

@@ -104,6 +104,13 @@ class TestNormalizedEntropy:
         score = normalized_entropy(self.make_spec([1.0, 0.0, 0.0]))
         assert score.value == 0.0
 
+    def test_rank_one_scores_positive_zero(self):
+        """A single nonzero eigenvalue has entropy -(1 * log 1) = -0.0;
+        the score is +0.0, which a score file writes as 0.0."""
+        for eigenvalues in ([1.0, 0.0], [2.5, 0.0, 0.0], [3.0]):
+            score = normalized_entropy(self.make_spec(eigenvalues, n=3))
+            assert repr(score.value) == "0.0"
+
     def test_uniform_two_components_is_one(self):
         score = normalized_entropy(self.make_spec([0.7, 0.7]))
         assert abs(score.value - 1.0) <= 1e-12
@@ -456,6 +463,19 @@ class TestScoreFiles:
         save_score_batch(p1, scores, {"seed": 1})
         save_score_batch(p2, scores, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_rank_one_local_sets_write_positive_zero(self, tmp_path):
+        """At k=1 each local set is two crossings, so its centered spectrum
+        has rank at most 1: no score is -0.0, in the batch or in its file."""
+        ds = make_blobs(per_class=50, dimension=2, center_distance=6.0, spread=1.0, seed=1)
+        net = MlpModel([2, 1], [np.array([[4.0, 0.0]])], [np.array([0.0])])
+        scores = dbc_local_batch(net, ds, reps=5, k=1, seed=1)
+        assert "0.0" in [repr(s.value) for s in scores]
+        assert all(math.copysign(1.0, s.value) == 1.0 for s in scores)
+        path = tmp_path / "scores.csv"
+        save_score_batch(path, scores, {"seed": 1})
+        assert "-0.0" not in path.read_text()
+        assert ",0.0," in path.read_text()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.7"])
     def test_non_finite_or_out_of_range_score_rejected(self, tmp_path, value):
