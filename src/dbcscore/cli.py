@@ -274,6 +274,12 @@ def cmd_compare(args) -> int:
 
     report = compare_scores(values_a, values_b, method=method,
                             alternative=args.alternative, alpha=args.alpha)
+    if method == "signed_rank":
+        # a pair index scored in one file only (its pair failed for that
+        # model alone) takes no part in the paired test; say how many did
+        report["pairs_shared"] = len(shared)
+        report["pairs_only_a"] = len(by_index_a) - len(shared)
+        report["pairs_only_b"] = len(by_index_b) - len(shared)
     report["file_a"] = str(args.a)
     report["file_b"] = str(args.b)
     report["caveat"] = SAME_DATASET_CAVEAT

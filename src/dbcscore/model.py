@@ -5,6 +5,8 @@ decision function mapping a feature vector to a probability in [0, 1].
 Training runs plain batched backprop on binary cross-entropy with either
 SGD or Adam; dropout uses inverted scaling during training so that
 evaluation-mode forward passes never depend on the dropout configuration.
+The loss is taken from the logits with no clip: it is exact for finite
+logits, and NaN, which stops training, if any logit is not finite.
 
 Evaluation and training share one layer loop, ``_forward_cached``.
 Training holds every weight and bias in one flat float64 buffer, and
@@ -15,7 +17,8 @@ before the first step, and nothing else may rebind them while a training
 run is in progress. Each step's optimizer update is elementwise and runs
 in place over chunks of ``_UPDATE_CHUNK`` parameters, so that the chunk's
 slices of the six buffers it touches stay in a core's L2 cache; a net of
-at most that many parameters is one chunk.
+at most that many parameters is one chunk. Adam runs in Kingma & Ba's
+order, with its bias corrections folded into one scalar step size.
 """
 
 from __future__ import annotations
@@ -216,16 +219,20 @@ def _first_layer_tail(model: MlpModel, Z):
     return p
 
 
-def _bce(p, y) -> float:
-    """Mean binary cross-entropy of probabilities p against labels y."""
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+def _bce_logits(z, y) -> float:
+    """Mean binary cross-entropy of sigmoid(z) against 0/1 labels y, taken
+    from the logits: log(1 + exp(-z)) where y = 1 and log(1 + exp(z))
+    where y = 0, exact for any finite z. NaN if any logit is not finite,
+    even where its row's loss would be 0, so that training reports it."""
+    if not np.isfinite(z).all():
+        return math.nan
+    return float(np.mean(np.logaddexp(0.0, (1.0 - 2.0 * y) * z)))
 
 
 def batch_loss(model: MlpModel, X, y) -> float:
     """Mean binary cross-entropy of the evaluation-mode forward pass."""
     _, _, logits = _forward_cached(model, np.asarray(X, dtype=np.float64))
-    return _bce(sigmoid(logits), np.asarray(y, dtype=np.float64))
+    return _bce_logits(logits, np.asarray(y, dtype=np.float64))
 
 
 def batch_gradients(model: MlpModel, X, y, dropout_masks=None, out=None):
@@ -242,7 +249,7 @@ def batch_gradients(model: MlpModel, X, y, dropout_masks=None, out=None):
     inputs, hidden, logits = _forward_cached(model, X, dropout_masks)
     p = sigmoid(logits)
     m = X.shape[0]
-    loss = _bce(p, y)
+    loss = _bce_logits(logits, y)
 
     if out is None:
         out = ([np.empty_like(w) for w in model.weights],
@@ -346,11 +353,15 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
                     np.multiply(lr, gc, out=sc)
                     pc -= sc
                 continue
-            # Adam, in the op order of lr * m_hat / (sqrt(v_hat) + eps) with
-            # m_hat = m / (1 - beta1**t) and v_hat = v / (1 - beta2**t);
-            # that order fixes the bits of every trained model, and each op
-            # is elementwise, so running it chunk by chunk keeps them
-            bias1, bias2 = 1 - beta1 ** t, 1 - beta2 ** t
+            # Adam in Kingma & Ba's order (arXiv:1412.6980, section 2): both
+            # bias corrections fold into the scalar step alpha and into
+            # eps_hat, so p -= alpha * m / (sqrt(v) + eps_hat) is the same
+            # optimizer as lr * m_hat / (sqrt(v_hat) + eps) in 12 passes,
+            # one of them a divide; that order fixes the bits of every
+            # trained model, and each op is elementwise, so running it chunk
+            # by chunk keeps them
+            root2 = math.sqrt(1 - beta2 ** t)
+            alpha, eps_hat = lr * root2 / (1 - beta1 ** t), eps * root2
             for mc, vc, gc, pc, sc, rc in chunks:
                 mc *= beta1
                 np.multiply(1 - beta1, gc, out=sc)
@@ -359,12 +370,10 @@ def train(dataset, layer_sizes, config: TrainConfig, hidden_activation: str = "r
                 np.multiply(1 - beta2, gc, out=sc)
                 sc *= gc
                 vc += sc
-                np.divide(mc, bias1, out=sc)
-                np.divide(vc, bias2, out=rc)
-                np.sqrt(rc, out=rc)
-                rc += eps
-                sc *= lr
-                sc /= rc
+                np.sqrt(vc, out=rc)
+                rc += eps_hat
+                np.divide(mc, rc, out=sc)
+                sc *= alpha
                 pc -= sc
         acc = float(np.mean(model.predict(X) == dataset.labels))
         report.epoch_accuracy.append(acc)

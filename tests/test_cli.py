@@ -275,6 +275,31 @@ class TestCompare:
             err = capsys.readouterr().err
             assert "bad_scores.csv" in err and "row 0" in err
 
+    def test_signed_rank_report_counts_shared_pairs(self, score_files, tmp_path, capsys):
+        """The paired report says how many pair indices both files share and
+        how many each holds alone; a row dropped from one file is one
+        unshared pair, and the written report keeps its bytes."""
+        lines = score_files["simple"].read_text().splitlines()
+        body = [i for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
+        total = len(body) - 1
+        dropped = tmp_path / "dropped.csv"
+        dropped.write_text("\n".join(lines[:body[5]] + lines[body[5] + 1:]) + "\n")
+        reports = []
+        for name in ("r1.json", "r2.json"):
+            out = tmp_path / name
+            assert run(["compare", "--a", score_files["simple"], "--b", dropped,
+                        "--test", "signed-rank", "--out", out]) == 0
+            capsys.readouterr()
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert (report["pairs_shared"], report["pairs_only_a"],
+                report["pairs_only_b"]) == (total - 1, 1, 0)
+        assert report["n_effective"] <= total - 1
+        assert run(["compare", "--a", dropped, "--b", score_files["simple"],
+                    "--test", "mann-whitney"]) == 0
+        assert "pairs_shared" not in json.loads(capsys.readouterr().out)
+
     def test_dataset_mismatch_refused_without_force(self, workspace,
                                                     score_files, capsys):
         data2 = workspace["root"] / "blobs2.csv"

@@ -1,5 +1,7 @@
+import decimal
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +235,9 @@ def per_array_update_train(dataset, sizes, config, activation):
     """Training with one in-place optimizer update per weight and bias
     array, in the expressions and op order that the flat-buffer update of
     ``train`` must reproduce bit for bit, on the steps of
-    ``reference_steps``. Returns the model and the mean loss of each epoch."""
+    ``reference_steps``: Adam in Kingma & Ba's order, its bias corrections
+    folded into the step size alpha and into eps. Returns the model and the
+    mean loss of each epoch."""
     model = init_model(sizes, config.seed, activation)
     X, y = dataset.features, dataset.labels.astype(np.float64)
     params = model.weights + model.biases
@@ -255,9 +259,9 @@ def per_array_update_train(dataset, sizes, config, activation):
                 m += (1 - beta1) * grad
                 v *= beta2
                 v += (1 - beta2) * grad * grad
-                m_hat = m / (1 - beta1 ** t)
-                v_hat = v / (1 - beta2 ** t)
-                param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+                root2 = math.sqrt(1 - beta2 ** t)
+                alpha = lr * root2 / (1 - beta1 ** t)
+                param -= m / (np.sqrt(v) + eps * root2) * alpha
         epoch_losses.append(float(np.mean(losses)))
     return model, epoch_losses
 
@@ -475,6 +479,136 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
             train(blobs_2d, [2, 8, 1], config)
         assert err.value.epoch >= 0
+
+    @pytest.mark.parametrize("logit,label", [(math.inf, 1), (-math.inf, 0),
+                                             (math.inf, 0), (math.nan, 1)])
+    def test_non_finite_logit_diverges_at_its_epoch(self, monkeypatch, logit, label):
+        """One step whose logit is infinite or NaN raises TrainingDiverged
+        naming that step's epoch, even where its row's exact loss is 0 (an
+        infinite logit on the row's own side), which the clip on
+        probabilities turned into a finite loss."""
+        from dbcscore import TrainingDiverged
+        ds = make_blobs(per_class=3, dimension=2, center_distance=4.0,
+                        spread=1.0, seed=33)
+        config = TrainConfig(epochs=5, batch_size=1, learning_rate=1e-2, seed=3)
+        real = model_module.batch_gradients
+        steps = []
+
+        def poisoned(model, X, y, *args, **kwargs):
+            steps.append(int(y[0]))
+            # the first step of epoch 2 (six steps an epoch) on a row of `label`
+            if len(steps) > 12 and steps[12:].count(label) == 1 and y[0] == label:
+                bias = model.biases[-1][0]
+                model.biases[-1][0] = logit
+                try:
+                    return real(model, X, y, *args, **kwargs)
+                finally:
+                    model.biases[-1][0] = bias
+            return real(model, X, y, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "batch_gradients", poisoned)
+        with pytest.raises(TrainingDiverged) as err:
+            train(ds, [2, 4, 1], config)
+        assert err.value.epoch == 2
+
+    def test_steps_allocate_no_parameter_sized_array(self, monkeypatch):
+        """From one call of batch_gradients to the next, a step (its
+        backprop, its optimizer update and the next row) allocates less
+        than a quarter of the parameter array: no per-step copy of the
+        gradients or the parameters, and no update temporary the size of an
+        update chunk. One-row batches keep the rows that the caller copies
+        and frees within each window small beside that bound."""
+        sizes = [3000, 30, 1]
+        nbytes = 8 * init_model(sizes, seed=0).parameter_count()
+        assert nbytes > 700_000 and 8 * model_module._UPDATE_CHUNK > nbytes // 4
+        ds = make_blobs(per_class=10, dimension=3000, center_distance=3.0,
+                        spread=1.0, seed=34)
+        real = model_module.batch_gradients
+        peaks = []
+
+        def measured(*args, **kwargs):
+            # peaks[-1] holds the traced bytes at the previous call until
+            # this call turns it into that window's peak above them
+            peak = tracemalloc.get_traced_memory()[1]
+            if peaks:
+                peaks[-1] = peak - peaks[-1]
+            tracemalloc.reset_peak()
+            peaks.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "batch_gradients", measured)
+        for optimizer in ("adam", "sgd"):
+            peaks.clear()
+            tracemalloc.start()
+            try:
+                train(ds, sizes, TrainConfig(epochs=2, batch_size=1, seed=5,
+                                             optimizer=optimizer))
+            finally:
+                tracemalloc.stop()
+            steps = peaks[:-1]
+            assert len(steps) == 39
+            assert max(steps) < nbytes // 4, (optimizer, max(steps), nbytes)
+
+
+def exact_bce(z, y, clip):
+    """Oracle: mean binary cross-entropy of sigmoid(z) against 0/1 labels y
+    in 50-digit decimal arithmetic, each row's loss ln(1 + e^s) with
+    s = (1 - 2y) z; with ``clip``, as the loss once was, every probability
+    is first clipped to [1e-12, 1 - 1e-12]."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        floor = decimal.Decimal("1e-12")
+        total = decimal.Decimal(0)
+        for zi, yi in zip(z, y):
+            x = (decimal.Decimal(float(zi)) * (1 - 2 * int(yi))).exp()
+            # ln(1 + x) by its series where 1 + x would round x away
+            loss = x - x * x / 2 + x ** 3 / 3 if x < 1e-20 else (1 + x).ln()
+            if clip:
+                # the probability of the row's own label is e^-loss
+                loss = min(max(loss, -(1 - floor).ln()), -floor.ln())
+            total += loss
+        return float(total / len(z))
+
+
+class TestLoss:
+    @staticmethod
+    def logit_model():
+        """A [1, 1] net whose logit is its input."""
+        return MlpModel([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_matches_clipped_bce_inside_the_clip(self, label):
+        """Wherever p = sigmoid(z) lies in [1e-12, 1 - 1e-12] the clip did
+        nothing, and the loss from the logits equals the old clipped BCE
+        to 1e-12 relative, row by row and as a batch mean."""
+        model = self.logit_model()
+        z = np.concatenate([np.linspace(-27.6, 27.6, 277), [-1e-9, 0.0, 1e-9]])
+        assert sigmoid(z).min() >= 1e-12 and sigmoid(z).max() <= 1.0 - 1e-12
+        y = np.full(z.size, float(label))
+        for zi, yi in zip(z, y):
+            got = batch_loss(model, [[zi]], [yi])
+            assert got == pytest.approx(exact_bce([zi], [yi], clip=True), rel=1e-12)
+        mixed = np.arange(z.size) % 2
+        assert batch_loss(model, z[:, None], mixed) == pytest.approx(
+            exact_bce(z, mixed, clip=True), rel=1e-12)
+
+    def test_exact_and_finite_far_outside_the_clip(self):
+        """For |z| up to 700 the loss stays finite and exact, where the clip
+        capped a wrong label's loss near 27.63 and floored a right one's
+        at 1e-12; batch_gradients returns the same loss."""
+        model = self.logit_model()
+        z = np.concatenate([-np.geomspace(700.0, 28.0, 40), np.geomspace(28.0, 700.0, 40)])
+        for label in (0.0, 1.0):
+            y = np.full(z.size, label)
+            for zi, yi in zip(z, y):
+                got = batch_loss(model, [[zi]], [yi])
+                assert math.isfinite(got)
+                assert got == pytest.approx(exact_bce([zi], [yi], clip=False), rel=1e-12)
+            got = batch_loss(model, z[:, None], y)
+            assert got == pytest.approx(exact_bce(z, y, clip=False), rel=1e-12)
+            assert got == batch_gradients(model, z[:, None], y)[2]
+        assert batch_loss(model, [[700.0]], [0.0]) == pytest.approx(700.0, rel=1e-15)
+        assert exact_bce([700.0], [0.0], clip=True) == pytest.approx(-math.log(1e-12))
 
 
 class TestSaveLoad:
