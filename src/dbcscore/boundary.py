@@ -136,19 +136,20 @@ def _interp(lam, A, B):
     return lam[:, None] * A + (1.0 - lam[:, None]) * B
 
 
-def _search_space(f, rows):
-    """The (decision function, rows) pair that the crossing kernel
-    searches for the feature rows ``rows``. For an ``MlpModel`` with
-    h1 < d these are the net after its first product and the h1-wide
-    products rows @ W1.T, computed once here; a first layer at least as
-    wide as the input would cost more than it saves. Anything else is
-    searched as given."""
+def _evaluate(f, rows):
+    """f's values on the feature rows ``rows``, and the (decision function,
+    rows) pair that the crossing kernel searches for them. For an
+    ``MlpModel`` with h1 < d these are the net after its first product and
+    the h1-wide products rows @ W1.T, computed once here; a first layer at
+    least as wide as the input would cost more than it saves. Anything
+    else is searched as given."""
+    values = np.asarray(f(rows), dtype=np.float64)
     if (type(f) is MlpModel and len(f.layer_sizes) > 2
             and f.layer_sizes[1] < f.layer_sizes[0]):
         with np.errstate(over="ignore", invalid="ignore"):
             projected = np.asarray(rows, dtype=np.float64) @ f.weights[0].T
-        return functools.partial(_first_layer_tail, f), projected
-    return f, rows
+        return values, (functools.partial(_first_layer_tail, f), projected)
+    return values, (f, rows)
 
 
 def _crossing_kernel(f, A, B, config: CrossingConfig):
@@ -157,7 +158,7 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
     this. Returns (lam, f_value, lam_lo, lam_hi) arrays of length m. A
     segment's values depend on the other segments of the call only
     through f, when f's value of a row depends on the rows beside it.
-    Callers pass the rows and f of ``_search_space``, so A and B may be
+    Callers pass the rows and f of ``_evaluate``, so A and B may be
     an MLP's first-layer products rather than input rows.
 
     Bisection's lam is the last midpoint it evaluated; the final bracket
@@ -272,10 +273,8 @@ def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossin
         raise ValueError(f"a and b must be vectors of equal shape, got {a.shape} and {b.shape}")
     if np.array_equal(a, b):
         raise CrossingError("a and b are identical vectors")
-    rows = np.vstack([a, b])
-    ends = np.asarray(f(rows), dtype=np.float64)
+    ends, (g, space) = _evaluate(f, np.vstack([a, b]))
     _require_straddle(float(ends[0]), float(ends[1]))
-    g, space = _search_space(f, rows)
     lam, fval, lo, hi = _crossing_kernel(g, space[:1], space[1:], config)
     if not np.isfinite(fval[0]):
         raise CrossingError(f"non-finite decision value {fval[0]} at lam={lam[0]:.6g}")
@@ -295,75 +294,60 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _crossing_sets(search, dataset: LabeledDataset, ends, f_ends, kind: str,
-                   config: CrossingConfig, rows=None) -> list:
+def _crossing_sets(search, dataset: LabeledDataset, ends, f_rows, kind: str,
+                   config: CrossingConfig) -> list:
     """One crossing set per row of ``ends``, columns in segment order.
 
     ``ends`` holds one (row, row) index pair per segment of each set, shape
-    (sets, segments, 2), and ``f_ends`` the f-values at those rows.
-    ``search`` is ``_search_space(f, dataset.features[rows])``, where
-    ``rows`` are the sorted dataset rows the ends use (None: every row),
-    so a batch projects each row once.
-    Orientation ignores labels: whichever end f puts strictly below 0.5
-    becomes the A side. A segment whose ends f puts on the same side, or
-    whose f-value is non-finite at an end or at the located crossing, is
-    recorded as a CrossingFailure at its position in its set. More than
-    MAX_FAILURE_RATE failures, or fewer than two crossings, abort a set.
-    Every set that passes its endpoint checks goes through one
-    ``_crossing_kernel`` call. Returns, per set, the FailureRateExceeded
-    that aborted it or a tuple (points, columns, failures): the crossings
-    as rows, and the segment positions, oriented ends, lam and f-values of
-    the columns, from which ``_one_set`` builds the provenance.
+    (sets, segments, 2); ``f_rows`` and ``search`` are ``_evaluate`` of the
+    dataset's rows. Whichever end f puts strictly below 0.5 becomes the A
+    side, whatever the labels. Every straddling segment of every set goes
+    through one ``_crossing_kernel`` call. A segment fails when its ends lie
+    on one side, or when its f-value, at an end or at the crossing, is not
+    finite; each set lists its CrossingFailures in position order, and more
+    than MAX_FAILURE_RATE of them, or fewer than two crossings, abort it.
+    Returns, per set, that FailureRateExceeded or (points, columns,
+    failures): the crossings as rows, and the positions, oriented ends, lam
+    and f-values from which ``_one_set`` builds the provenance.
     """
-    ends = np.asarray(ends, dtype=np.int64)
-    f_ends = np.asarray(f_ends, dtype=np.float64)
+    f_ends = f_rows[ends]
     segments = ends.shape[1]
     finite_ends = np.isfinite(f_ends).all(axis=2)
-    forward = finite_ends & (f_ends[..., 0] < 0.5) & (f_ends[..., 1] >= 0.5)
-    backward = finite_ends & (f_ends[..., 1] < 0.5) & (f_ends[..., 0] >= 0.5)
-    crossed = forward | backward
-    oriented = np.where(backward[..., None], ends[..., ::-1], ends)
-
-    def failure(s, i, reason):
-        fa, fb = f_ends[s, i]
-        return CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
-                               index_b=int(ends[s, i, 1]),
-                               reason=f"{reason} (f={fa:.6g} and f={fb:.6g})")
-
-    failures = [[failure(s, i, "both endpoints on the same side of 0.5"
-                         if finite_ends[s, i]
-                         else "non-finite decision value at an endpoint")
-                 for i in np.flatnonzero(~crossed[s])]
-                for s in range(len(ends))]
-    results = [_abort(failures[s], segments, int(crossed[s].sum()), kind)
-               for s in range(len(ends))]
-    live = np.array([r is None for r in results], dtype=bool)
-    kept = oriented[crossed & live[:, None]]
+    below = f_ends < 0.5
+    crossed = finite_ends & (below[..., 0] != below[..., 1])
+    oriented = np.where(below[..., 1:], ends[..., ::-1], ends)
+    kept = oriented[crossed]
     A_all, B_all = dataset.features[kept[:, 0]], dataset.features[kept[:, 1]]
     g, space = search
-    if space is dataset.features:
-        lam_all, fval_all, _, _ = _crossing_kernel(g, A_all, B_all, config)
-    else:
-        at = kept if rows is None else np.searchsorted(rows, kept)
-        lam_all, fval_all, _, _ = _crossing_kernel(g, space[at[:, 0]], space[at[:, 1]],
-                                                   config)
+    lam_all, fval_all, _, _ = _crossing_kernel(
+        g, *((A_all, B_all) if space is dataset.features
+             else (space[kept[:, 0]], space[kept[:, 1]])), config)
+    # a segment's f-value stays NaN unless the kernel located its crossing
+    lam, fval = np.zeros(crossed.shape), np.full(crossed.shape, np.nan)
+    lam[crossed], fval[crossed] = lam_all, fval_all
+    failures = [[] for _ in ends]
+    for s, i in zip(*np.nonzero(~np.isfinite(fval))):  # position order in each set
+        fa, fb = f_ends[s, i]
+        reason = (f"non-finite decision value at lam={lam[s, i]:.6g}" if crossed[s, i]
+                  else "both endpoints on the same side of 0.5" if finite_ends[s, i]
+                  else "non-finite decision value at an endpoint")
+        failures[s].append(CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
+                                           index_b=int(ends[s, i, 1]),
+                                           reason=f"{reason} (f={fa:.6g} and f={fb:.6g})"))
+    position = np.nonzero(crossed)[1]
+    results = []
     stop = 0
-    for s in np.flatnonzero(live):
-        ok = np.flatnonzero(crossed[s])
-        start, stop = stop, stop + ok.size
-        A, B = A_all[start:stop], B_all[start:stop]
-        lam, fval = lam_all[start:stop], fval_all[start:stop]
-        fails = failures[s]
-        finite = np.isfinite(fval)
-        if not finite.all():
-            fails = sorted(fails + [
-                failure(s, ok[j], f"non-finite decision value at lam={lam[j]:.6g}")
-                for j in np.flatnonzero(~finite)], key=lambda x: x.pair_index)
-            results[s] = _abort(fails, segments, int(finite.sum()), kind)
-            if results[s] is not None:
-                continue
-            ok, A, B, lam, fval = ok[finite], A[finite], B[finite], lam[finite], fval[finite]
-        results[s] = (_interp(lam, A, B), (ok, oriented[s, ok], lam, fval), tuple(fails))
+    for s, count in enumerate(crossed.sum(axis=1).tolist()):
+        part = slice(stop, stop + count)
+        stop += count
+        A, B = A_all[part], B_all[part]
+        columns = (position[part], kept[part], lam_all[part], fval_all[part])
+        if len(failures[s]) + count > segments:  # a crossing failed; else all stay views
+            keep = np.isfinite(fval_all[part])
+            A, B, columns = A[keep], B[keep], tuple(c[keep] for c in columns)
+        # one set's rows at a time stay in cache, where a whole block's do not
+        results.append(_abort(failures[s], segments, segments - len(failures[s]), kind) or (
+            _interp(columns[2], A, B), columns, tuple(failures[s])))
     return results
 
 
@@ -383,12 +367,15 @@ def _abort(failures, attempted, crossings, kind):
     return None
 
 
-def _one_set(results, kind: str) -> AdversarialSet:
-    """The AdversarialSet, with provenance, of a one-set ``_crossing_sets``
-    result; raises the FailureRateExceeded that aborted the set."""
-    if isinstance(results[0], FailureRateExceeded):
-        raise results[0]
-    points, (positions, ends, lam, fval), failures = results[0]
+def _one_set(f, dataset: LabeledDataset, ends, kind: str,
+             config: CrossingConfig) -> AdversarialSet:
+    """The AdversarialSet, with provenance, of the segments ``ends``, shape
+    (segments, 2); raises the FailureRateExceeded that aborts the set."""
+    f_rows, search = _evaluate(f, dataset.features)
+    result, = _crossing_sets(search, dataset, ends[None], f_rows, kind, config)
+    if isinstance(result, FailureRateExceeded):
+        raise result
+    points, (positions, ends, lam, fval), failures = result
     provenance = tuple(
         ColumnProvenance(pair_index=i, index_a=ia, index_b=ib, lam=l, f_value=v)
         for i, (ia, ib), l, v in zip(positions.tolist(), ends.tolist(), lam.tolist(),
@@ -410,9 +397,7 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a global set, got {reps}")
     ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
-    f_rows = np.asarray(f(dataset.features), dtype=np.float64)
-    return _one_set(_crossing_sets(_search_space(f, dataset.features), dataset, ends[None],
-                                   f_rows[ends][None], "global", config), "global")
+    return _one_set(f, dataset, ends, "global", config)
 
 
 def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
@@ -455,13 +440,8 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     sample one segment of the boundary. Failures carry the neighbor's
     rank as their ``pair_index``.
     """
-    ends = _local_ends(dataset, [pair], k, expand_around)
-    rows, inverse = np.unique(ends, return_inverse=True)
-    features = dataset.features[rows]
-    f_rows = np.asarray(f(features), dtype=np.float64)
-    return _one_set(_crossing_sets(_search_space(f, features), dataset, ends,
-                                   f_rows[inverse.reshape(ends.shape)], "local", config,
-                                   rows), "local")
+    return _one_set(f, dataset, _local_ends(dataset, [pair], k, expand_around)[0], "local",
+                    config)
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
                        CrossingConfig, FailureRateExceeded, _crossing_sets,
-                       _local_ends, _search_space, global_adversarial_set)
+                       _evaluate, _local_ends, global_adversarial_set)
 from .dataset import LabeledDataset, sample_pairs
 # dbcbench/tracing.py wraps these names here; the batch itself never calls them
 from .boundary import local_adversarial_set  # noqa: F401
@@ -238,8 +238,8 @@ def _score_block(start: int, search, dataset, ends, f_rows, block, k, config, ce
     """LocalScores of pairs start .. start+block-1; a pair whose local set
     aborts gets the message of its FailureRateExceeded instead. Sets of
     equal size are stacked into one ``_eigenvalues`` call."""
-    ends = ends[start:start + block]
-    results = _crossing_sets(search, dataset, ends, f_rows[ends], "local", config)
+    results = _crossing_sets(search, dataset, ends[start:start + block], f_rows, "local",
+                             config)
     sizes = {}
     for i, result in enumerate(results):
         if not isinstance(result, FailureRateExceeded):
@@ -284,11 +284,11 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ends = _local_ends(dataset, sample_pairs(dataset, reps, seed), k, expand_around)
-    f_rows = np.asarray(f(dataset.features), dtype=np.float64)
+    f_rows, search = _evaluate(f, dataset.features)
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set
     block = min(32, max(1, ROW_BUDGET // ((k + 1) * dataset.dimension)))
-    task = functools.partial(_score_block, search=_search_space(f, dataset.features),
+    task = functools.partial(_score_block, search=search,
                              dataset=dataset, ends=ends, f_rows=f_rows, block=block,
                              k=k, config=config, center=center,
                              divisor_mode=divisor_mode)

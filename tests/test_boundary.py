@@ -12,6 +12,7 @@ from dbcscore import (CrossingConfig, CrossingError, FailureRateExceeded,
 from dbcscore import boundary
 from dbcscore import model as model_module
 from dbcscore.boundary import CrossingFailure, _crossing_kernel
+from dbcscore.dataset import ClassPair
 from tests.conftest import make_zigzag_model
 
 
@@ -446,6 +447,30 @@ class TestNonFiniteDecisionValues:
         assert all(x.reason.startswith("non-finite decision value at an endpoint")
                    for x in aset.failures)
         assert np.isfinite([p.f_value for p in aset.provenance]).all()
+
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_abort_counts_both_kinds_first_by_position(self, method):
+        """The anchor (-5, 0) is crossed toward the ten class-1 rows
+        (5, y), y = 0, 0.1, ..., 0.9, in that order. f is sigmoid(4 x0),
+        but NaN at the three ends with y >= 0.7 and at (0, 0.1), the
+        crossing of the segment at position 2. One failure pass counts all
+        four and names the crossing at position 2 first; counting the ends
+        alone would abort on 3 and name position 7."""
+        ys = np.arange(10) / 10.0
+        X = np.vstack([[-5.0, 0.0], np.column_stack([np.full(10, 5.0), ys])])
+        ds = LabeledDataset(X, np.array([0] + [1] * 10))
+
+        def f(points):
+            x0, x1 = np.atleast_2d(points).T
+            hole = (x1 >= 0.65) | ((x0 == 0.0) & (np.abs(x1 - 0.1) < 1e-9))
+            return np.where(hole, np.nan, 1.0 / (1.0 + np.exp(-4.0 * x0)))
+
+        pair = ClassPair(a=X[0], b=X[1], index_a=0, index_b=1)
+        with pytest.raises(FailureRateExceeded) as info:
+            local_adversarial_set(f, ds, pair, k=9, config=CrossingConfig(method=method))
+        message = str(info.value)
+        assert message.startswith("4 of 10 crossings failed"), message
+        assert "First failure: non-finite decision value at lam=0.5 (" in message
 
 
 class TestExport:
