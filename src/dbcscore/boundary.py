@@ -9,9 +9,11 @@ forward passes, while each segment's result is identical to what a lone
 block of local sets are all one stack of segment lists through that one
 batch: orientation and the failure rules apply per set.
 
-Decision functions must accept a 2-D array of rows and return a 1-D array
-of values in [0, 1]; ``MlpModel`` instances satisfy this directly. They
-must neither write nor keep the rows they are given: the bisection
+Decision functions must accept a 2-D array of n rows and return an array
+of shape (n,) with values in [0, 1]; ``MlpModel`` instances satisfy this
+directly. Another shape, or a finite value outside [0, 1], raises
+ValueError; NaN and +-inf are recorded as crossing failures. A decision
+function must neither write nor keep the rows it is given: the bisection
 reuses one buffer for the midpoints of every step.
 
 An ``MlpModel`` whose first hidden layer is narrower than its input
@@ -136,6 +138,25 @@ def _interp(lam, A, B):
     return lam[:, None] * A + (1.0 - lam[:, None]) * B
 
 
+def _f_values(f, rows) -> np.ndarray:
+    """f's values on the 2-D array ``rows``: the one place that reads a
+    decision function's output. A result not of shape (n,) for n rows, or
+    a finite value outside [0, 1], breaks the contract of f and raises
+    ValueError. NaN and +-inf pass through, for the caller to record as
+    crossing failures."""
+    values = np.asarray(f(rows), dtype=np.float64)
+    if values.shape != (len(rows),):
+        raise ValueError(f"decision function returned shape {values.shape} for "
+                         f"{len(rows)} rows; expected ({len(rows)},)")
+    # NaN fails this test too, so the exact check runs only on a failure
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        outside = values[np.isfinite(values) & ((values < 0.0) | (values > 1.0))]
+        if outside.size:
+            raise ValueError(f"decision function returned {float(outside[0])!r}, "
+                             "a finite value outside [0, 1]")
+    return values
+
+
 def _evaluate(f, rows):
     """f's values on the feature rows ``rows``, and the (decision function,
     rows) pair that the crossing kernel searches for them. For an
@@ -143,7 +164,7 @@ def _evaluate(f, rows):
     the h1-wide products rows @ W1.T, computed once here; a first layer at
     least as wide as the input would cost more than it saves. Anything
     else is searched as given."""
-    values = np.asarray(f(rows), dtype=np.float64)
+    values = _f_values(f, rows)
     if (type(f) is MlpModel and len(f.layer_sizes) > 2
             and f.layer_sizes[1] < f.layer_sizes[0]):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -196,7 +217,7 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
             np.multiply(mid[:, None], a, out=x)
             np.multiply(1.0 - mid[:, None], b, out=y)
             x += y
-        fm = np.asarray(f(x), dtype=np.float64)
+        fm = _f_values(f, x)
         g = fm - 0.5
         lam[active] = mid
         fval[active] = fm
@@ -241,8 +262,7 @@ def _linear_scan_kernel(f, A, B, epsilon: float):
             # overflowed +-inf ends give NaN rows, as in the bisection
             with np.errstate(over="ignore", invalid="ignore"):
                 points = lams[:, None] * a + (1.0 - lams)[:, None] * b
-            fv[:, j:j + piece] = np.asarray(f(points.reshape(-1, d)),
-                                            dtype=np.float64).reshape(len(a), -1)
+            fv[:, j:j + piece] = _f_values(f, points.reshape(-1, d)).reshape(len(a), -1)
         g = fv - 0.5
         best = np.argmin(np.abs(g), axis=1)
         lam[part] = grid[best]

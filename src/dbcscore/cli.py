@@ -231,6 +231,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     scores_a, meta_a = load_score_batch(args.a)
     scores_b, meta_b = load_score_batch(args.b)
     if not scores_a or not scores_b:
@@ -296,6 +298,8 @@ def cmd_plot2d(args) -> int:
     # 0 draws no overlay; a global set needs at least 2 points
     if args.overlay_reps < 0 or args.overlay_reps == 1:
         raise UsageError(f"--overlay-reps must be 0 or at least 2, got {args.overlay_reps}")
+    if args.grid < 2:
+        raise UsageError(f"--grid must be at least 2, got {args.grid}")
     dataset, data_hash = _load_dataset(args)
     if dataset.dimension != 2:
         raise DatasetError(

@@ -334,12 +334,15 @@ def save_score_batch(path, scores: list[LocalScore], metadata: dict) -> None:
 
 
 def load_score_batch(path):
-    """Read a score CSV; returns (scores, metadata dict)."""
+    """Read a score CSV; returns (scores, metadata dict). A repeated
+    ``pair_index`` raises SpectrumError, since the paired test matches
+    scores by pair index."""
     path = Path(path)
     if not path.exists():
         raise SpectrumError(f"no such file: {path}")
     metadata = {}
     rows = []
+    seen = set()
     with open(path, newline="", encoding="utf-8") as handle:
         lines = [ln.rstrip("\n") for ln in handle if ln.strip()]
     body = []
@@ -366,4 +369,8 @@ def load_score_batch(path):
         if not 0.0 <= rows[-1].value <= 1.0:
             raise SpectrumError(f"score row {r} in {path} has dbc {row['dbc']!r}, "
                                 f"not a finite value in [0, 1]")
+        if rows[-1].pair_index in seen:
+            raise SpectrumError(f"score row {r} in {path} repeats pair_index "
+                                f"{rows[-1].pair_index}")
+        seen.add(rows[-1].pair_index)
     return rows, metadata

@@ -202,8 +202,11 @@ def compare_scores(scores_a, scores_b, method: str = "signed_rank",
 
     ``method`` is 'signed_rank' (paired; requires index-paired batches) or
     'mann_whitney' (unpaired). The decision rejects the null "a >= b" (or
-    its counterpart for the chosen alternative) when p < alpha.
+    its counterpart for the chosen alternative) when p < alpha, which must
+    lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"alpha must lie in (0, 1), got {alpha}")
     if method == "signed_rank":
         result = signed_rank_test(scores_a, scores_b, alternative)
     elif method == "mann_whitney":

@@ -473,6 +473,40 @@ class TestNonFiniteDecisionValues:
         assert "First failure: non-finite decision value at lam=0.5 (" in message
 
 
+def sigmoid_x0(points):
+    return 1.0 / (1.0 + np.exp(-4.0 * np.atleast_2d(points)[:, 0]))
+
+
+# callables that break f's output contract, with the ValueError each raises
+BROKEN_OUTPUTS = {
+    "column": (lambda X: sigmoid_x0(X)[:, None],
+               r"returned shape \(\d+, 1\) for \d+ rows; expected \(\d+,\)"),
+    "doubled": (lambda X: 2.0 * sigmoid_x0(X), r"outside \[0, 1\]"),
+    # in range at every dataset row, 1.3 where x0 = 0: only the search sees it
+    "bump": (lambda X: sigmoid_x0(X) + 0.8 * np.exp(-(np.atleast_2d(X)[:, 0] / 0.2) ** 2),
+             r"outside \[0, 1\]"),
+}
+
+
+class TestDecisionFunctionContract:
+    @pytest.mark.parametrize("name", BROKEN_OUTPUTS)
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_broken_output_raises(self, blobs_2d, name, method):
+        """A result not of shape (n,) or a finite value outside [0, 1]
+        raises ValueError on a global set, a local batch and a lone
+        crossing; NaN and +-inf stay recorded failures (the tests of
+        TestNonFiniteDecisionValues)."""
+        f, message = BROKEN_OUTPUTS[name]
+        config = CrossingConfig(method=method)
+        for build in (lambda: global_adversarial_set(f, blobs_2d, reps=20, config=config),
+                      lambda: dbc_local_batch(f, blobs_2d, reps=10, k=4, config=config),
+                      lambda: find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 0.0]),
+                                            config)):
+            with pytest.raises(ValueError, match=message) as info:
+                build()
+            assert info.type is ValueError
+
+
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path, blobs_2d, linear_model_2d):
         aset = global_adversarial_set(linear_model_2d, blobs_2d, reps=10, seed=3)

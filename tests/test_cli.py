@@ -170,7 +170,8 @@ class TestScore:
     def test_global_reps_below_two_usage_error(self, workspace, capsys):
         """A global set needs two pairs: --reps 1 in global mode and
         --overlay-reps 1 or below 0 are usage errors, checked before any
-        file is read (a missing file exits 2)."""
+        file is read (a missing file exits 2), as is a plot2d --grid
+        below 2."""
         root = workspace["root"]
         missing_data, missing_model = root / "missing.csv", root / "missing.json"
         out = root / "reps1.csv"
@@ -181,6 +182,9 @@ class TestScore:
             assert run(["plot2d", "--model", missing_model, "--data", missing_data,
                         "--overlay-reps", reps, "--out", out]) == 1
             assert "--overlay-reps must be 0 or at least 2" in capsys.readouterr().err
+        assert run(["plot2d", "--model", missing_model, "--data", missing_data,
+                    "--grid", 1, "--out", out]) == 1
+        assert "--grid must be at least 2" in capsys.readouterr().err
         assert not out.exists()
         # the smallest accepted values still run
         assert run(["score", "--model", workspace["simple"], "--data", workspace["data"],
@@ -218,6 +222,31 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["p_value"] == 1.0
         assert report["rejected"] is False
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "5", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_usage_error(self, workspace, alpha, capsys):
+        """An alpha outside (0, 1) exits 1 before any file is read (a
+        missing file exits 2)."""
+        root = workspace["root"]
+        out = root / "alpha.json"
+        assert run(["compare", "--a", root / "missing_a.csv", "--b", root / "missing_b.csv",
+                    "--alpha", alpha, "--out", out]) == 1
+        assert "--alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_pair_index_refused(self, score_files, tmp_path, capsys):
+        """Rows appended with the pair indices 3 and 4 again exit 2 and name
+        the file and the first repeated row."""
+        lines = score_files["simple"].read_text().splitlines()
+        body = [ln for ln in lines if ln and not ln.startswith("#")]
+        repeated = [",".join(["3"] + body[1].split(",")[1:]),
+                    ",".join(["4"] + body[2].split(",")[1:])]
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join(lines + repeated) + "\n")
+        assert run(["compare", "--a", bad, "--b", score_files["complex"]]) == 2
+        err = capsys.readouterr().err
+        assert "repeated.csv" in err and f"row {len(body) - 1}" in err
+        assert "repeats pair_index 3" in err
 
     def test_seed_mismatch_refused(self, workspace, score_files, capsys):
         other = workspace["root"] / "other_seed.csv"

@@ -485,6 +485,13 @@ class TestScoreFiles:
         with pytest.raises(SpectrumError, match=r"row 1 in .*bad\.csv"):
             load_score_batch(path)
 
+    def test_repeated_pair_index_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("pair_index,k,m,dbc,divisor_mode,centered\n"
+                        "0,2,3,0.5,e,true\n1,2,3,0.4,e,true\n0,2,3,0.6,e,true\n")
+        with pytest.raises(SpectrumError, match=r"row 2 in .*twice\.csv repeats pair_index 0"):
+            load_score_batch(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("pair_index,k,m,dbc,divisor_mode,centered\n1,2,oops,0.5,e,true\n")

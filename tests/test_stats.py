@@ -276,6 +276,11 @@ class TestCompareScores:
         assert report["rejected"] is False
         assert "no significant difference" in report["decision"]
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1, math.nan])
+    def test_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(StatsError, match="alpha"):
+            compare_scores([0.1, 0.2, 0.3], [0.4, 0.5, 0.7], alpha=alpha)
+
     def test_unknown_method(self):
         with pytest.raises(StatsError):
             compare_scores([1.0], [2.0], method="bogus")
