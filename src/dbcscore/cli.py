@@ -144,9 +144,9 @@ def cmd_blobs(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset, data_hash = _load_dataset(args)
     arch = _parse_arch(args.arch)
     dropout = _parse_dropout(args.dropout)
+    dataset, data_hash = _load_dataset(args)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          learning_rate=args.lr, seed=args.seed,
                          optimizer=args.optimizer, dropout_rates=dropout,
@@ -186,6 +186,7 @@ def cmd_score(args) -> int:
             raise UsageError(f"$DBC_WORKERS must be an integer, got {text!r}") from None
     if workers < 1:
         raise UsageError("--workers (or $DBC_WORKERS) must be at least 1")
+    epsilon = _parse_epsilon(args.epsilon)
     dataset, data_hash = _load_dataset(args)
     model = load_model(args.model)
     model_hash = _sha256(args.model)
@@ -195,8 +196,7 @@ def cmd_score(args) -> int:
             f"dimension {dataset.dimension}"
         )
     reps = args.reps if args.reps is not None else 5 * dataset.count
-    config = CrossingConfig(epsilon=_parse_epsilon(args.epsilon),
-                            method=args.method.replace("-", "_"))
+    config = CrossingConfig(epsilon=epsilon, method=args.method.replace("-", "_"))
     divisor_mode = args.divisor.replace("-", "_")
 
     metadata = {
@@ -300,6 +300,7 @@ def cmd_plot2d(args) -> int:
         raise UsageError(f"--overlay-reps must be 0 or at least 2, got {args.overlay_reps}")
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
+    epsilon = _parse_epsilon(args.epsilon)
     dataset, data_hash = _load_dataset(args)
     if dataset.dimension != 2:
         raise DatasetError(
@@ -310,7 +311,7 @@ def cmd_plot2d(args) -> int:
         raise ModelError(f"plot2d requires a 2-D model, got dimension {model.dimension}")
     overlay = None
     if args.overlay_reps:
-        config = CrossingConfig(epsilon=_parse_epsilon(args.epsilon))
+        config = CrossingConfig(epsilon=epsilon)
         aset = global_adversarial_set(model, dataset, reps=args.overlay_reps,
                                       config=config, seed=args.seed)
         overlay = aset.points.T

@@ -1,13 +1,13 @@
-"""Score-batch summaries and nonparametric rank comparisons.
+"""Score-batch summaries and nonparametric rank comparisons, on numpy alone.
 
 Two tests decide whether one model's scores are stochastically smaller
 than another's: the paired signed-rank test (valid when both batches were
 scored on the identical pair sequence, i.e. the same seed) and the
 unpaired Mann-Whitney test as a fallback for batches from different
-seeds. Both use midranks for ties. Exact p-values come from the full
-null distribution of the statistic conditioned on the observed ranks,
-computed by generating-function convolution; larger samples fall back to
-the normal approximation with tie and continuity corrections.
+seeds. Both rank by one sort, with midranks for ties, and share one exact
+routine, the null distribution of the rank sum of a random subset of the
+observed ranks, and one tie- and continuity-corrected normal tail for
+larger samples. Non-finite scores are refused with ``StatsError``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 ALTERNATIVES = ("a_less", "b_less", "two_sided")
 
@@ -68,15 +67,53 @@ def _check_alternative(alternative: str) -> None:
         raise StatsError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
-def _normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+def _finite(scores, batch: str) -> np.ndarray:
+    values = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise StatsError(f"score batch {batch} holds the non-finite value "
+                         f"{values.flat[bad[0]]} at index {bad[0]}")
+    return values
 
 
-def _tail_probs(counts: np.ndarray, stat2: int, total: float):
-    # counts[s] = number of assignments with doubled statistic s
-    p_le = float(counts[:stat2 + 1].sum()) / total
-    p_ge = float(counts[stat2:].sum()) / total
-    return p_le, p_ge
+def _midranks(values: np.ndarray):
+    """1-based midranks of a 1-D array and the tie term sum(t^3 - t) over
+    its tie groups, split on ``!=`` of the sorted values (so -0.0 == 0.0)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, values.size])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks, sum(t ** 3 - t for t in sizes[sizes > 1].tolist())
+
+
+def _exact_tails(ranks: np.ndarray, statistic: float, size: int | None):
+    """P(S <= statistic) and P(S >= statistic), where S is the rank sum of
+    a uniformly random subset of ``ranks``: of any size when ``size`` is
+    None, else of that size. Midranks are multiples of 1/2, so the sums
+    run over doubled ranks, which are integers."""
+    r2 = np.rint(2.0 * ranks).astype(np.int64)
+    top = int(r2.sum())
+    # dp[j, s] = number of j-subsets of the ranks seen so far with doubled sum s
+    dp = np.zeros(((r2.size if size is None else size) + 1, top + 1))
+    dp[0, 0] = 1.0
+    for r in r2.tolist():
+        dp[1:, r:] += dp[:-1, :top + 1 - r]
+    counts = dp.sum(axis=0) if size is None else dp[size]
+    stat2 = int(np.rint(2.0 * statistic))
+    total = float(counts.sum())
+    return float(counts[:stat2 + 1].sum()) / total, float(counts[stat2:].sum()) / total
+
+
+def _normal_tails(statistic: float, mean: float, var: float):
+    """Continuity-corrected normal P(S <= statistic) and P(S >= statistic);
+    a null of zero variance gives (1, 1)."""
+    if var <= 0.0:
+        return 1.0, 1.0
+    sd = math.sqrt(var)
+    return tuple(0.5 * math.erfc(x / sd / math.sqrt(2.0))
+                 for x in (mean - statistic - 0.5, statistic - mean - 0.5))
 
 
 def _finish(p_le: float, p_ge: float, alternative: str) -> float:
@@ -101,8 +138,8 @@ def signed_rank_test(scores_a, scores_b, alternative: str = "two_sided") -> Rank
     differences give p = 1.
     """
     _check_alternative(alternative)
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
+    a = _finite(scores_a, "a")
+    b = _finite(scores_b, "b")
     if a.shape != b.shape or a.ndim != 1:
         raise StatsError(f"paired batches must be equal-length vectors, "
                          f"got shapes {a.shape} and {b.shape}")
@@ -114,35 +151,18 @@ def signed_rank_test(scores_a, scores_b, alternative: str = "two_sided") -> Rank
     if n == 0:
         return RankTestResult(statistic=0.0, p_value=1.0, alternative=alternative,
                               method="signed_rank_paired", n_effective=0)
-    ranks = rankdata(np.abs(d))
+    ranks, tie_term = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
-
     if n <= SIGNED_RANK_EXACT_LIMIT:
-        # distribution of W+ over sign assignments, on doubled ranks so
-        # midranks (multiples of 1/2) become integers
-        r2 = np.rint(2.0 * ranks).astype(np.int64)
-        counts = np.zeros(int(r2.sum()) + 1, dtype=np.float64)
-        counts[0] = 1.0
-        for r in r2:
-            counts[int(r):] += counts[:-int(r)]
-        stat2 = int(np.rint(2.0 * w_plus))
-        p_le, p_ge = _tail_probs(counts, stat2, 2.0 ** n)
+        # the 2^n sign assignments are the subsets of ranks counted in W+
+        p_le, p_ge = _exact_tails(ranks, w_plus, None)
     else:
-        mean = n * (n + 1) / 4.0
-        tie_term = sum(t ** 3 - t for t in _tie_sizes(np.abs(d)))
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-        sd = math.sqrt(var)
-        p_le = _normal_sf((mean - w_plus - 0.5) / sd)
-        p_ge = _normal_sf((w_plus - mean - 0.5) / sd)
+        p_le, p_ge = _normal_tails(w_plus, n * (n + 1) / 4.0, var)
     return RankTestResult(statistic=w_plus,
                           p_value=_finish(p_le, p_ge, alternative),
                           alternative=alternative,
                           method="signed_rank_paired", n_effective=n)
-
-
-def _tie_sizes(values) -> list[int]:
-    _, counts = np.unique(values, return_counts=True)
-    return [int(c) for c in counts if c > 1]
 
 
 def mann_whitney_test(scores_a, scores_b, alternative: str = "two_sided") -> RankTestResult:
@@ -154,46 +174,24 @@ def mann_whitney_test(scores_a, scores_b, alternative: str = "two_sided") -> Ran
     normal approximation applies.
     """
     _check_alternative(alternative)
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
+    a = _finite(scores_a, "a")
+    b = _finite(scores_b, "b")
     if a.size == 0 or b.size == 0:
         raise StatsError("both score lists must be nonempty")
-    na, nb = a.size, b.size
-    combined = np.concatenate([a, b])
-    ranks = rankdata(combined)
-    u_a = float(ranks[:na].sum()) - na * (na + 1) / 2.0
-
-    if na + nb <= MANN_WHITNEY_EXACT_LIMIT:
-        r2 = np.rint(2.0 * ranks).astype(np.int64)
-        # dp[j][s] = number of j-subsets of the ranks seen so far with
-        # doubled rank sum s
-        max_sum = int(r2.sum())
-        dp = np.zeros((na + 1, max_sum + 1), dtype=np.float64)
-        dp[0, 0] = 1.0
-        for r in r2:
-            r = int(r)
-            dp[1:, r:] += dp[:-1, :max_sum + 1 - r]
-        counts = dp[na]
-        # doubled U = doubled rank sum - na*(na+1); shift to U-indexed array
-        shift = na * (na + 1)
-        u2 = int(np.rint(2.0 * u_a))
-        u_counts = counts[shift:] if shift <= max_sum else np.zeros(1)
-        p_le, p_ge = _tail_probs(u_counts, u2, math.comb(na + nb, na))
+    na, nb, big_n = a.size, b.size, a.size + b.size
+    ranks, tie_term = _midranks(np.concatenate([a, b], axis=None))
+    rank_sum_a = float(ranks[:na].sum())
+    u_a = rank_sum_a - na * (na + 1) / 2.0
+    if big_n <= MANN_WHITNEY_EXACT_LIMIT:
+        # U is a's rank sum less a constant, so its tails are the rank sum's
+        p_le, p_ge = _exact_tails(ranks, rank_sum_a, na)
     else:
-        big_n = na + nb
-        mean = na * nb / 2.0
-        tie_term = sum(t ** 3 - t for t in _tie_sizes(combined))
         var = (na * nb / 12.0) * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
-        if var <= 0.0:
-            return RankTestResult(statistic=u_a, p_value=1.0, alternative=alternative,
-                                  method="mann_whitney_unpaired", n_effective=big_n)
-        sd = math.sqrt(var)
-        p_le = _normal_sf((mean - u_a - 0.5) / sd)
-        p_ge = _normal_sf((u_a - mean - 0.5) / sd)
+        p_le, p_ge = _normal_tails(u_a, na * nb / 2.0, var)
     return RankTestResult(statistic=u_a,
                           p_value=_finish(p_le, p_ge, alternative),
                           alternative=alternative,
-                          method="mann_whitney_unpaired", n_effective=na + nb)
+                          method="mann_whitney_unpaired", n_effective=big_n)
 
 
 def compare_scores(scores_a, scores_b, method: str = "signed_rank",

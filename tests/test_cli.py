@@ -88,6 +88,14 @@ class TestTrain:
                     "--out", workspace["root"] / "bad.json"])
         assert code == 1
         assert "--dropout" in capsys.readouterr().err
+        # --arch and --dropout are parsed before the data is read (a
+        # missing file exits 2)
+        missing, out = workspace["root"] / "missing.csv", workspace["root"] / "bad.json"
+        for flags, message in ((["--arch", "x"], "architecture must be"),
+                               (["--arch", "2,4,1", "--dropout", "x"], "--dropout")):
+            assert run(["train", "--data", missing, *flags, "--out", out]) == 1
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_target_accuracy_above_one_refused(self, workspace, capsys):
         out = workspace["root"] / "bad.json"
@@ -170,8 +178,8 @@ class TestScore:
     def test_global_reps_below_two_usage_error(self, workspace, capsys):
         """A global set needs two pairs: --reps 1 in global mode and
         --overlay-reps 1 or below 0 are usage errors, checked before any
-        file is read (a missing file exits 2), as is a plot2d --grid
-        below 2."""
+        file is read (a missing file exits 2), as are a plot2d --grid
+        below 2 and an --epsilon outside (0, 1)."""
         root = workspace["root"]
         missing_data, missing_model = root / "missing.csv", root / "missing.json"
         out = root / "reps1.csv"
@@ -185,6 +193,11 @@ class TestScore:
         assert run(["plot2d", "--model", missing_model, "--data", missing_data,
                     "--grid", 1, "--out", out]) == 1
         assert "--grid must be at least 2" in capsys.readouterr().err
+        # so is --epsilon, and plot2d checks it even without an overlay
+        for command, epsilon in ((["score", "--mode", "global"], "2"), (["plot2d"], "7")):
+            assert run([*command, "--model", missing_model, "--data", missing_data,
+                        "--epsilon", epsilon, "--out", out]) == 1
+            assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
         # the smallest accepted values still run
         assert run(["score", "--model", workspace["simple"], "--data", workspace["data"],

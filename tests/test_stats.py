@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import dbcscore
 from dbcscore import (StatsError, compare_scores, mann_whitney_test,
                       signed_rank_test, summarize)
+from dbcscore.stats import SIGNED_RANK_EXACT_LIMIT, _midranks
 
 
 def exact_signed_rank_by_enumeration(d, alternative):
@@ -85,6 +91,61 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             summarize([])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The package runs on numpy alone: a fresh interpreter's import of the
+    CLI must not pull scipy in."""
+    src = str(Path(dbcscore.__file__).resolve().parents[1])
+    code = "import sys, dbcscore.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"
+
+
+class TestMidranks:
+    @staticmethod
+    def check(values):
+        """Midranks equal scipy's, and the tie term the np.unique counts'."""
+        values = np.array(values)
+        ranks, tie_term = _midranks(values)
+        np.testing.assert_array_equal(ranks, sps.rankdata(values))
+        _, counts = np.unique(values, return_counts=True)
+        assert tie_term == sum(int(t) ** 3 - int(t) for t in counts)
+
+    @pytest.mark.parametrize("values", [
+        [0.5],
+        [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+        [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],
+        [np.inf, -np.inf, 2.0, np.inf, -np.inf, -np.inf],
+        [7.0] * 9,
+    ])
+    def test_matches_rankdata_and_unique_counts(self, values):
+        self.check(values)
+
+    def test_matches_rankdata_on_random_ties(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            self.check(np.round(rng.normal(size=int(rng.integers(1, 80))),
+                                int(rng.integers(0, 3))))
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("test", [signed_rank_test, mann_whitney_test])
+    @pytest.mark.parametrize("a, b, batch, index", [
+        ([1.0] * 30, [math.nan] * 30, "b", 0),
+        ([math.nan, 1.0, 2.0], [0.0, 0.5, 0.2], "a", 0),
+        ([0.1, 0.2, 0.3], [0.4, math.inf, 0.6], "b", 1),
+        ([0.1, 0.2, -math.inf], [0.4, 0.5, 0.6], "a", 2),
+    ])
+    def test_refused_naming_batch_and_index(self, test, a, b, batch, index):
+        with pytest.raises(StatsError, match=f"batch {batch} .* at index {index}"):
+            test(a, b, "a_less")
+
+    def test_compare_scores_inherits_the_refusal(self):
+        for method in ("signed_rank", "mann_whitney"):
+            with pytest.raises(StatsError, match="non-finite"):
+                compare_scores([0.1, math.nan], [0.2, 0.3], method=method)
 
 
 class TestSignedRank:
@@ -185,6 +246,20 @@ class TestSignedRank:
                 p = signed_rank_test(a, b, alt).p_value
                 assert 0.0 <= p <= 1.0
 
+    def test_normal_branch_matches_scipy_under_heavy_ties(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(40, 120))
+            a = rng.integers(0, 5, size=n).astype(float)
+            b = rng.integers(0, 5, size=n).astype(float)
+            for alt, scipy_alt in (("a_less", "less"), ("b_less", "greater"),
+                                   ("two_sided", "two-sided")):
+                ours = signed_rank_test(a, b, alt)
+                assert ours.n_effective > SIGNED_RANK_EXACT_LIMIT
+                ref = sps.wilcoxon(a, b, alternative=scipy_alt, method="approx",
+                                   correction=True)
+                assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
     def test_length_mismatch(self):
         with pytest.raises(StatsError):
             signed_rank_test([1.0, 2.0], [1.0], "a_less")
@@ -212,6 +287,30 @@ class TestMannWhitney:
             got = mann_whitney_test(a, b, alt)
             expected = exact_mann_whitney_by_enumeration(a, b, alt)
             assert got.p_value == pytest.approx(expected, abs=1e-12)
+
+    def test_exact_matches_enumeration_oracle_under_heavy_ties(self):
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            na = int(rng.integers(1, 12))
+            nb = int(rng.integers(1, 13 - na))
+            a = rng.integers(0, 3, size=na).astype(float)
+            b = rng.integers(0, 3, size=nb).astype(float)
+            alt = ("a_less", "b_less", "two_sided")[int(rng.integers(3))]
+            got = mann_whitney_test(a, b, alt)
+            expected = exact_mann_whitney_by_enumeration(a, b, alt)
+            assert got.p_value == pytest.approx(expected, abs=1e-12)
+
+    def test_normal_branch_matches_scipy_under_heavy_ties(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            a = rng.integers(0, 5, size=int(rng.integers(15, 90))).astype(float)
+            b = rng.integers(1, 6, size=int(rng.integers(15, 90))).astype(float)
+            for alt, scipy_alt in (("a_less", "less"), ("b_less", "greater"),
+                                   ("two_sided", "two-sided")):
+                ours = mann_whitney_test(a, b, alt)
+                ref = sps.mannwhitneyu(a, b, alternative=scipy_alt, method="asymptotic")
+                assert ours.statistic == ref.statistic
+                assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-9)
 
     def test_shifted_gaussians_reject_with_permutation_oracle(self):
         rng = np.random.default_rng(11)
