@@ -424,28 +424,26 @@ def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
     """Segment ends of each pair's local set, shape (pairs, k+1, 2).
 
     Each row pairs the anchor with one of the k+1 nearest same-class
-    neighbors of the expanded endpoint (the hub), the hub itself first.
-    Pairs that share a hub share one k_nearest call.
+    neighbors of the expanded endpoint (the hub), the hub itself first
+    where it is among them; the others keep their k_nearest order. One
+    k_nearest call answers every distinct hub of the pairs at once.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if expand_around not in ("a", "b"):
         raise ValueError(f"expand_around must be 'a' or 'b', got {expand_around!r}")
-    hub_class = 1 if expand_around == "b" else 0
-    neighbors = {}
-    ends = np.empty((len(pairs), k + 1, 2), dtype=np.int64)
-    for j, pair in enumerate(pairs):
-        anchor, hub = ((pair.index_a, pair.index_b) if expand_around == "b"
-                       else (pair.index_b, pair.index_a))
-        if hub not in neighbors:
-            rows = k_nearest(dataset, dataset.features[hub], class_filter=hub_class,
-                             k=k + 1)
-            if hub in rows:
-                rows.remove(hub)
-                rows.insert(0, hub)
-            neighbors[hub] = rows
-        ends[j, :, 0] = anchor
-        ends[j, :, 1] = neighbors[hub]
+    indices = np.array([(pair.index_a, pair.index_b) for pair in pairs], dtype=np.int64)
+    anchors, hubs = indices.T if expand_around == "b" else indices.T[::-1]
+    distinct, inverse = np.unique(hubs, return_inverse=True)
+    rows = np.array(k_nearest(dataset, dataset.features[distinct],
+                              class_filter=1 if expand_around == "b" else 0, k=k + 1),
+                    dtype=np.int64)
+    # a stable sort on "is not the hub" moves the hub to the front
+    rows = np.take_along_axis(
+        rows, np.argsort(rows != distinct[:, None], axis=1, kind="stable"), axis=1)
+    ends = np.empty((len(indices), k + 1, 2), dtype=np.int64)
+    ends[..., 0] = anchors[:, None]
+    ends[..., 1] = rows[inverse]
     return ends
 
 

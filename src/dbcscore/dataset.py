@@ -6,6 +6,12 @@ across worker processes. ``k_nearest`` and ``sample_pairs`` are pure
 functions of their inputs; pair ``i`` is drawn from the sub-seed
 ``(seed, i)`` so results do not depend on evaluation order or on the
 degree of parallelism.
+
+``k_nearest`` answers one query vector or a (q, d) matrix of queries.
+It finds candidates with one Gram-form product per chunk of queries and
+ranks only the rows within a proven rounding margin of each query's k-th
+Gram distance, with the exact formula; its docstring derives the margin.
+So a query's list does not depend on the other queries of the call.
 """
 
 from __future__ import annotations
@@ -15,6 +21,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+
+# doubles that one Gram block of k_nearest may hold, on the scale of the
+# crossing search's row budget
+GRAM_BUDGET = 2 ** 19
+# doubles of deltas that k_nearest ranks at once: a piece stays in cache
+RANK_PIECE = 2 ** 16
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class DatasetError(ValueError):
@@ -201,30 +215,119 @@ def minmax_scale(dataset: LabeledDataset) -> LabeledDataset:
 
 
 def k_nearest(dataset: LabeledDataset, query: np.ndarray, class_filter: int,
-              k: int) -> list[int]:
-    """Exact k-nearest rows of one class, by Euclidean distance to ``query``.
+              k: int) -> list[int] | list[list[int]]:
+    """Exact k-nearest rows of one class, by Euclidean distance to each query.
 
-    Returns dataset row indices in nondecreasing distance order; ties break
-    toward the lower row index. A stored row equal to the query is eligible
-    and ranks first at distance zero, which is what makes a point its own
-    nearest neighbor.
+    ``query`` is one vector of the dataset's dimension, which returns one
+    ``list[int]``, or a (q, d) matrix of queries, which returns one such
+    list per row. A list holds dataset row indices in nondecreasing order
+    of ``sqrt(einsum(delta, delta))``, the distance computed from the
+    deltas ``x - query``; ties break toward the lower row index. A stored
+    row equal to a query is eligible and ranks first at distance zero,
+    which is what makes a point its own nearest neighbor. A non-finite
+    query value raises DatasetError naming its row and column.
+
+    The answer is that of ranking every row of the class with that exact
+    formula, but only a margin set is ranked. One product ``Q @ X.T`` per
+    chunk of queries gives the Gram-form squared distances g = a + b - 2p,
+    with a = q.q, b = x.x and p = q.x; a chunk's Gram block holds at most
+    GRAM_BUDGET doubles (one query's row at least). Each query keeps the
+    rows with g <= t + w, where t is its k-th smallest g and w the margin
+    below, and ranks only those with the exact formula, in pieces of at
+    most max(1, RANK_PIECE // d) rows. The margin set holds the k rows
+    of smallest g, so it is never empty and never larger than the class.
+
+    Why the margin set holds the answer. Let u = 2^-53, gamma_n = n*u /
+    (1 - n*u) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 3.1), and gamma = gamma_{d+2}. For one query q and a
+    row x let D = |q - x|^2 exactly, N = |q|^2 + |x|^2, and let S = |q|^2
+    + max |x|^2 over the class, so that D <= 2N <= 2S. A dot product of
+    length d computed in any order, with or without FMA, errs by at most
+    gamma_d times the sum of the absolute products; a sum of three terms
+    in any order by gamma_2 times the sum of their absolute values; and
+    gamma_j + gamma_k + gamma_j*gamma_k <= gamma_{j+k} (Higham, Lemma
+    3.3). BLAS products are such dot products (no Strassen-like scheme),
+    and 2p is exact.
+
+    1. The Gram form: |p - q.x| <= gamma_d |q||x| <= gamma_d N / 2 by
+       Cauchy-Schwarz, a and b err by gamma_d times their exact values,
+       and the three-term sum adds gamma_2 (1 + gamma_d) 2N. So
+       |g - D| <= 2 (gamma_d + gamma_2 + gamma_2 gamma_d) N
+       <= 2 gamma N <= 2 gamma S.
+    2. The exact formula: each delta is rounded once, (1 + u), and its
+       squares are summed as a dot product, so the computed square r obeys
+       |r - D| <= gamma D <= 2 gamma S.
+    3. The final sqrt is correctly rounded: e = fl(sqrt(r)) lies within
+       a factor 1 +- u of sqrt(r). So e_x > e_y, strictly, whenever
+       r_x (1 - u)^2 > r_y (1 + u)^2, which r_x - r_y > 10 u S ensures,
+       since r_y <= (1 + gamma) 2S.
+
+    Let y be one of the k rows with g_y <= t, and x a row left out, with
+    g_x > T. By 1 and 2, r_x - r_y >= g_x - g_y - 8 gamma S, so by 3 x
+    ranks strictly behind each of those k rows, whatever its index, once
+    g_x > t + (8 gamma + 10 u) S; g_x > t + 12 gamma S suffices, since
+    3u <= gamma. The code computes s = fl(a + max b) >= (1 - gamma) S,
+    w = fl(16 gamma s) and T = fl(t + w). With |t| <= 3S, rounding costs
+    at most u |t + w| <= gamma S + u w, so T >= t + 12 gamma S while
+    gamma <= 0.18, that is for any d below 10^15. A row outside the
+    margin set thus never reaches the first k. Underflow is exact in a
+    sum and errs by at most 2^-1075 in a product (Higham, section 2.1);
+    the sums above hold fewer than 16 (d + 2) products, which the floor
+    (d + 2) 2^-1068 added to w covers. The bound also needs no overflow:
+    every term above stays below 2^1023 while s <= 2^1020. Beyond that,
+    w is infinite and every row of the class is ranked, as is every row
+    whose g is NaN.
     """
     if k < 1:
         raise DatasetError(f"k must be >= 1, got {k}")
     query = np.asarray(query, dtype=np.float64)
-    if query.shape != (dataset.dimension,):
+    single = query.ndim == 1
+    queries = query[None, :] if single else query
+    if queries.ndim != 2 or queries.shape[1] != dataset.dimension:
         raise DatasetError(
             f"query shape {query.shape} does not match dataset dimension {dataset.dimension}"
         )
+    if not np.isfinite(queries).all():
+        row, col = np.argwhere(~np.isfinite(queries))[0]
+        raise DatasetError(f"non-finite query value at row {row}, column {col}")
     candidates = dataset.class_indices(class_filter)
     if k > candidates.size:
         raise DatasetError(
             f"k={k} exceeds class-{class_filter} population of {candidates.size}"
         )
-    deltas = dataset.features[candidates] - query
-    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-    order = np.lexsort((candidates, distances))
-    return [int(i) for i in candidates[order[:k]]]
+    d = dataset.dimension
+    rows = dataset.features[candidates]
+    row_norms = np.einsum("ij,ij->i", rows, rows)
+    query_norms = np.einsum("ij,ij->i", queries, queries)
+    scale = query_norms + row_norms.max()
+    gamma = (d + 2) * _UNIT_ROUNDOFF / (1.0 - (d + 2) * _UNIT_ROUNDOFF)
+    margin = np.where(scale <= 2.0 ** 1020,
+                      16.0 * gamma * scale + (d + 2) * 2.0 ** -1068, np.inf)
+    neighbors = np.empty((len(queries), k), dtype=np.int64)
+    chunk = max(1, GRAM_BUDGET // candidates.size)
+    piece = max(1, RANK_PIECE // d)
+    for start in range(0, len(queries), chunk):
+        block = slice(start, start + chunk)
+        # overflow only comes with scale > 2^1020, where every row is kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = queries[block] @ rows.T
+            gram *= -2.0
+            gram += query_norms[block, None]
+            gram += row_norms
+            threshold = np.partition(gram, k - 1, axis=1)[:, k - 1] + margin[block]
+            # row-major, so grouped by query and ascending in candidate
+            owner, kept = np.nonzero(~(gram > threshold[:, None]))
+        del gram
+        squares = np.empty(kept.size)
+        for i in range(0, kept.size, piece):
+            deltas = rows[kept[i:i + piece]]
+            deltas -= queries[block][owner[i:i + piece]]
+            squares[i:i + piece] = np.einsum("ij,ij->i", deltas, deltas)
+        order = np.lexsort((kept, np.sqrt(squares), owner))
+        counts = np.bincount(owner, minlength=len(threshold))
+        first = np.cumsum(counts) - counts
+        neighbors[block] = candidates[kept[order][first[:, None] + np.arange(k)]]
+    return neighbors[0].tolist() if single else neighbors.tolist()
 
 
 def sample_pair(dataset: LabeledDataset, pair_index: int, seed: int) -> ClassPair:

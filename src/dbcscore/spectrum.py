@@ -263,13 +263,14 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     The pair sequence depends only on (dataset, reps, seed), so two models
     scored with the same seed see identical pairs and their score lists
     pair up by index. f is evaluated once on every dataset row, for the
-    segment ends, and k_nearest once per distinct hub row. Pair i then
-    goes to block i // P, where P = min(32, max(1, ROW_BUDGET // ((k+1) *
-    dimension))) depends only on k and the dimension; each block's
-    segments go through one crossing-kernel call, and each pair's set
-    gets its own spectrum, though the block's sets of equal size share one
-    stacked eigensolver call. Blocks may fan out over min(``workers``,
-    blocks) processes; a single block runs serially. The pool forks its
+    segment ends, and one k_nearest call finds the neighbours of every
+    distinct hub row at once. Pair i then goes to block i // P, where
+    P = min(32, max(1, ROW_BUDGET // ((k+1) * dimension))) depends only
+    on k and the dimension; each block's segments go through one
+    crossing-kernel call, and each pair's set gets its own spectrum,
+    though the block's sets of equal size share one stacked eigensolver
+    call. Blocks may fan out over min(``workers``, blocks) processes; a
+    single block runs serially. The pool forks its
     workers, each of which receives ``f`` and ``dataset`` once, when it
     starts. It asks for fork by name, since forkserver (Python 3.14's
     default on Linux) would pickle ``f``, which fails for a closure, and

@@ -52,8 +52,9 @@ class RankTestResult:
 
 
 def summarize(scores) -> ScoreSummary:
-    """Exact order statistics; even-length medians average the middle two."""
-    values = np.asarray(scores, dtype=np.float64)
+    """Exact order statistics; even-length medians average the middle two.
+    A non-finite score raises StatsError."""
+    values = _finite(scores, "score list")
     if values.size == 0:
         raise StatsError("cannot summarize an empty score list")
     q1, median, q3 = np.percentile(values, [25.0, 50.0, 75.0])
@@ -67,11 +68,11 @@ def _check_alternative(alternative: str) -> None:
         raise StatsError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
-def _finite(scores, batch: str) -> np.ndarray:
+def _finite(scores, name: str) -> np.ndarray:
     values = np.asarray(scores, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise StatsError(f"score batch {batch} holds the non-finite value "
+        raise StatsError(f"{name} holds the non-finite value "
                          f"{values.flat[bad[0]]} at index {bad[0]}")
     return values
 
@@ -138,8 +139,8 @@ def signed_rank_test(scores_a, scores_b, alternative: str = "two_sided") -> Rank
     differences give p = 1.
     """
     _check_alternative(alternative)
-    a = _finite(scores_a, "a")
-    b = _finite(scores_b, "b")
+    a = _finite(scores_a, "score batch a")
+    b = _finite(scores_b, "score batch b")
     if a.shape != b.shape or a.ndim != 1:
         raise StatsError(f"paired batches must be equal-length vectors, "
                          f"got shapes {a.shape} and {b.shape}")
@@ -174,8 +175,8 @@ def mann_whitney_test(scores_a, scores_b, alternative: str = "two_sided") -> Ran
     normal approximation applies.
     """
     _check_alternative(alternative)
-    a = _finite(scores_a, "a")
-    b = _finite(scores_b, "b")
+    a = _finite(scores_a, "score batch a")
+    b = _finite(scores_b, "score batch b")
     if a.size == 0 or b.size == 0:
         raise StatsError("both score lists must be nonempty")
     na, nb, big_n = a.size, b.size, a.size + b.size

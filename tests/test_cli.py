@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbcscore
 from dbcscore.cli import main
 
 
@@ -448,3 +453,44 @@ class TestExitCodes:
                     "--mode", "global", "--reps", 10,
                     "--out", tmp_path / "o.csv"])
         assert code == 3
+
+
+README_PIPELINE = [
+    ["blobs", "--per-class", "200", "--dim", "2", "--seed", "7", "--out", "blobs.csv"],
+    ["train", "--data", "blobs.csv", "--arch", "2,1,1", "--activation", "tanh",
+     "--epochs", "300", "--lr", "0.01", "--seed", "0", "--out", "simple.json"],
+    ["train", "--data", "blobs.csv", "--arch", "2,10,32,16,1",
+     "--epochs", "300", "--lr", "0.01", "--seed", "0", "--out", "complex.json"],
+    ["score", "--model", "simple.json", "--data", "blobs.csv", "--mode", "local",
+     "--k", "8", "--reps", "60", "--seed", "1", "--out", "simple_scores.csv"],
+    ["score", "--model", "complex.json", "--data", "blobs.csv", "--mode", "local",
+     "--k", "8", "--reps", "60", "--seed", "1", "--workers", "2",
+     "--out", "complex_scores.csv"],
+    ["compare", "--a", "simple_scores.csv", "--b", "complex_scores.csv",
+     "--test", "signed-rank", "--alternative", "a_less", "--out", "report.json"],
+    ["compare", "--a", "simple_scores.csv", "--b", "complex_scores.csv",
+     "--test", "mann-whitney", "--alternative", "a_less", "--out", "report_mw.json"],
+    ["plot2d", "--model", "complex.json", "--data", "blobs.csv", "--overlay-reps", "20",
+     "--seed", "2", "--out", "boundary.svg"],
+]
+
+
+def test_readme_pipeline_without_scipy(tmp_path):
+    """The README pipeline, at small --reps, in an interpreter where
+    ``import scipy`` fails: every step exits 0 and writes its output."""
+    code = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from dbcscore.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'dbc {argv[0]} exited nonzero')\n"
+    )
+    src = str(Path(dbcscore.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(README_PIPELINE)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    for argv in README_PIPELINE:
+        assert (tmp_path / argv[-1]).stat().st_size > 0
+    assert json.loads((tmp_path / "report.json").read_text())["pairs_shared"] > 0

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbcscore import (DatasetError, LabeledDataset, k_nearest, load_csv,
+from dbcscore import (ClassPair, DatasetError, LabeledDataset, k_nearest, load_csv,
                       make_blobs, minmax_scale, sample_pair, sample_pairs,
                       save_csv)
+from dbcscore.boundary import _local_ends
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -164,6 +167,152 @@ class TestKNearest:
         assert got == expected
         dists = [float(np.linalg.norm(ds.features[i] - query)) for i in got]
         assert dists == sorted(dists)
+
+
+def exact_neighbors(ds, query, cls, k):
+    """The oracle: every row of the class ranked by the exact formula,
+    sqrt(einsum(delta, delta)), ties toward the lower row index."""
+    idx = ds.class_indices(cls)
+    deltas = ds.features[idx] - query
+    distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+    return [int(i) for i in idx[np.lexsort((idx, distances))][:k]]
+
+
+def assert_matches_oracle(ds, queries, cls, k):
+    expected = [exact_neighbors(ds, q, cls, k) for q in queries]
+    assert k_nearest(ds, queries, class_filter=cls, k=k) == expected
+    for q, rows in zip(queries, expected):
+        assert k_nearest(ds, q, class_filter=cls, k=k) == rows
+
+
+def two_class(features, rng):
+    labels = rng.integers(0, 2, size=len(features))
+    labels[:2] = (0, 1)
+    return LabeledDataset(features, labels)
+
+
+class TestBatchedKNearest:
+    """k_nearest on a (q, d) matrix: one Gram product per chunk of queries
+    and an exact ranking of each query's margin set must give the lists
+    of the exact formula over every row of the class."""
+
+    def test_shapes(self, blobs_2d):
+        query = blobs_2d.features[250]
+        one = k_nearest(blobs_2d, query, class_filter=1, k=3)
+        assert isinstance(one, list) and all(type(i) is int for i in one)
+        assert k_nearest(blobs_2d, query[None, :], class_filter=1, k=3) == [one]
+        assert k_nearest(blobs_2d, np.empty((0, 2)), class_filter=1, k=3) == []
+        with pytest.raises(DatasetError, match="dimension"):
+            k_nearest(blobs_2d, np.zeros((4, 3)), class_filter=1, k=3)
+        with pytest.raises(DatasetError, match="dimension"):
+            k_nearest(blobs_2d, np.zeros((1, 1, 2)), class_filter=1, k=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_refused(self, bad):
+        ds = LabeledDataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]))
+        with pytest.raises(DatasetError, match="row 0, column 0"):
+            k_nearest(ds, [bad, 0.0], class_filter=1, k=2)
+        queries = np.zeros((3, 2))
+        queries[1, 1] = bad
+        with pytest.raises(DatasetError, match="row 1, column 1"):
+            k_nearest(ds, queries, class_filter=1, k=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60),
+           st.integers(1, 3072), st.integers(1, 9))
+    def test_random_instances(self, seed, count, dim, q):
+        rng = np.random.default_rng(seed)
+        ds = two_class(rng.normal(size=(count, dim)) * rng.uniform(0.1, 10.0), rng)
+        cls = int(rng.integers(0, 2))
+        k = int(rng.integers(1, ds.class_indices(cls).size + 1))
+        # stored rows (exact zeros) and fresh points
+        queries = np.vstack([ds.features[rng.integers(0, count, q)],
+                             rng.normal(size=(q, dim))])
+        assert_matches_oracle(ds, queries, cls, k)
+
+    def test_duplicated_rows_and_hub_first(self):
+        """Rows 0-4 are copies of one point. A hub among its own k+1
+        neighbours is moved to the front, the rest keep their order; a hub
+        pushed out by lower-index copies of itself is not added."""
+        rng = np.random.default_rng(3)
+        features = np.vstack([np.tile(rng.normal(size=4), (5, 1)),
+                              rng.normal(size=(15, 4)), [[9.0, 9.0, 9.0, 9.0]]])
+        features[15:18] = features[8]  # more copies, with a higher index
+        labels = np.ones(len(features), dtype=int)
+        labels[-1] = 0
+        ds = LabeledDataset(features, labels)
+        assert_matches_oracle(ds, features, 1, 6)
+        hubs = [3, 0, 4, 15, 8, 17, 11, 3]
+        pairs = [ClassPair(a=features[20], b=features[h], index_a=20, index_b=h)
+                 for h in hubs]
+        for k in (2, 4, 6):
+            ends = _local_ends(ds, pairs, k, "b")
+            for pair, row in zip(pairs, ends):
+                rows = exact_neighbors(ds, features[pair.index_b], 1, k + 1)
+                if pair.index_b in rows:
+                    rows.remove(pair.index_b)
+                    rows.insert(0, pair.index_b)
+                assert row[:, 0].tolist() == [20] * (k + 1)
+                assert row[:, 1].tolist() == rows
+        assert _local_ends(ds, pairs, 2, "b")[0, :, 1].tolist() == [0, 1, 2]
+        assert _local_ends(ds, pairs, 4, "b")[0, :, 1].tolist() == [3, 0, 1, 2, 4]
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_lattice_ties_break_to_lower_index(self, dim):
+        """Integer lattice points: many exactly equal distances, which the
+        Gram form also computes exactly, so only the index decides."""
+        rng = np.random.default_rng(dim)
+        features = rng.integers(-3, 4, size=(80, dim)).astype(float)
+        ds = two_class(features, rng)
+        queries = np.vstack([features[:10], rng.integers(-3, 4, size=(10, dim))])
+        for cls in (0, 1):
+            for k in (1, 5, ds.class_indices(cls).size):
+                assert_matches_oracle(ds, queries, cls, k)
+
+    @pytest.mark.parametrize("dim", [2, 30, 3072])
+    def test_ill_conditioned_offset(self, dim):
+        """Rows 1e4 from the origin with 1e-3 noise: the Gram form's
+        cancellation errs by more than the gaps between the distances, so
+        only a margin that bounds its rounding keeps the right rows."""
+        rng = np.random.default_rng(dim)
+        features = 1e4 + 1e-3 * rng.normal(size=(40, dim))
+        ds = two_class(features, rng)
+        queries = np.vstack([features[:6], 1e4 + 1e-3 * rng.normal(size=(6, dim))])
+        for cls in (0, 1):
+            assert_matches_oracle(ds, queries, cls, 3)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e150, 1e200, 1e300])
+    def test_extreme_magnitudes(self, scale):
+        """Squares that underflow, and squares that overflow, where every
+        row is ranked by the exact formula."""
+        rng = np.random.default_rng(7)
+        features = scale * rng.normal(size=(30, 3))
+        ds = two_class(features, rng)
+        assert_matches_oracle(ds, features[:8], 1, 4)
+
+    def test_gram_memory_does_not_grow_with_queries(self):
+        """One Gram block holds at most GRAM_BUDGET doubles: 5,000 queries
+        peak no higher than 50 that already fill a block, beyond the
+        answer's own (queries x k) integers."""
+        rng = np.random.default_rng(11)
+        features = rng.normal(size=(2 ** 14 + 2, 2))
+        labels = np.ones(len(features), dtype=int)
+        labels[:2] = 0
+        ds = LabeledDataset(features, labels)
+        k = 2
+        peaks = []
+        for count in (50, 5000):
+            queries = rng.normal(size=(count, 2))
+            tracemalloc.start()
+            try:
+                answer = k_nearest(ds, queries, class_filter=1, k=k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(answer) == count
+        # the lists, their ints and the (queries, k) int64 array
+        answer_bytes = 5000 * (64 + 8 * k + 32 * k + 8 * k)
+        assert peaks[1] <= peaks[0] + answer_bytes, peaks
 
 
 class TestSamplePairs:

@@ -92,6 +92,18 @@ class TestSummarize:
         with pytest.raises(StatsError):
             summarize([])
 
+    def test_nan_rejected(self):
+        with pytest.raises(StatsError, match="non-finite value nan at index 0"):
+            summarize([np.nan, 0.5])
+
+    def test_infinity_rejected(self):
+        """An infinite score would make numpy's percentile warn and return
+        NaN quartiles; it is refused before any statistic is taken."""
+        with pytest.raises(StatsError, match="non-finite value inf at index 0"):
+            summarize([np.inf, 0.5])
+        with pytest.raises(StatsError, match="non-finite value -inf at index 1"):
+            summarize([0.5, -np.inf])
+
 
 def test_cli_import_leaves_scipy_unloaded():
     """The package runs on numpy alone: a fresh interpreter's import of the
