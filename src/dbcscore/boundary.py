@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassPair, LabeledDataset, k_nearest, sample_pairs
+from .dataset import ClassPair, DatasetError, LabeledDataset, k_nearest, sample_pairs
 from .model import MlpModel, _first_layer_tail
 
 DEFAULT_EPSILON = 1.0 / 256.0
@@ -432,12 +432,18 @@ def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
         raise ValueError(f"k must be >= 1, got {k}")
     if expand_around not in ("a", "b"):
         raise ValueError(f"expand_around must be 'a' or 'b', got {expand_around!r}")
+    hub_class = 1 if expand_around == "b" else 0
+    population = dataset.class_indices(hub_class).size
+    if k + 1 > population:
+        raise DatasetError(
+            f"k={k} needs k+1={k + 1} class-{hub_class} rows per local set, which "
+            f"exceeds the class-{hub_class} population of {population}"
+        )
     indices = np.array([(pair.index_a, pair.index_b) for pair in pairs], dtype=np.int64)
     anchors, hubs = indices.T if expand_around == "b" else indices.T[::-1]
     distinct, inverse = np.unique(hubs, return_inverse=True)
-    rows = np.array(k_nearest(dataset, dataset.features[distinct],
-                              class_filter=1 if expand_around == "b" else 0, k=k + 1),
-                    dtype=np.int64)
+    rows = np.array(k_nearest(dataset, dataset.features[distinct], class_filter=hub_class,
+                              k=k + 1), dtype=np.int64)
     # a stable sort on "is not the hub" moves the hub to the front
     rows = np.take_along_axis(
         rows, np.argsort(rows != distinct[:, None], axis=1, kind="stable"), axis=1)

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,28 +60,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    flags: dict
-    master_seed: int | None
-    input_hashes: dict
-    artifact_version: str
-    timestamp: str
-
-    def write_sidecar(self, out_path) -> Path:
-        sidecar = Path(str(out_path) + ".manifest.json")
-        sidecar.write_text(json.dumps(asdict(self), indent=2) + "\n",
-                           encoding="utf-8")
-        return sidecar
-
-
-def _manifest(command, args, seed, input_hashes) -> RunManifest:
-    flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in ("func", "command")}
-    return RunManifest(command=command, flags=flags, master_seed=seed,
-                       input_hashes=input_hashes, artifact_version=__version__,
-                       timestamp=datetime.now(timezone.utc).isoformat())
+def _write_manifest(out, command, args, seed, input_hashes) -> None:
+    """Write the ``<out>.manifest.json`` sidecar; reruns with the same
+    flags and inputs differ only in its timestamp."""
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")}
+    manifest = {"command": command, "flags": flags, "master_seed": seed,
+                "input_hashes": input_hashes, "artifact_version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat()}
+    Path(f"{out}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                            encoding="utf-8")
 
 
 def _parse_epsilon(text: str) -> float:
@@ -120,13 +106,24 @@ def _parse_dropout(text: str) -> tuple[float, ...]:
 
 def _load_dataset(args) -> tuple[LabeledDataset, str]:
     column = args.label_column
-    if isinstance(column, str) and (column.isdigit()
-                                    or (column.startswith("-") and column[1:].isdigit())):
+    if column.removeprefix("-").isdigit():
         column = int(column)
     dataset = load_csv(args.data, column)
-    if getattr(args, "scale", False):
+    if args.scale:
         dataset = minmax_scale(dataset)
     return dataset, _sha256(args.data)
+
+
+def _load_model(args, dimension: int):
+    """The model at ``--model`` and its hash; its dimension must be the
+    dataset's."""
+    model = load_model(args.model)
+    if model.dimension != dimension:
+        raise ModelError(
+            f"model dimension {model.dimension} does not match dataset "
+            f"dimension {dimension}"
+        )
+    return model, _sha256(args.model)
 
 
 def cmd_blobs(args) -> int:
@@ -138,7 +135,7 @@ def cmd_blobs(args) -> int:
                          center_distance=args.center_distance,
                          spread=args.spread, seed=args.seed)
     save_csv(dataset, args.out)
-    _manifest("blobs", args, args.seed, {}).write_sidecar(args.out)
+    _write_manifest(args.out, "blobs", args, args.seed, {})
     print(f"wrote {args.out}: {dataset.count} rows, dimension {dataset.dimension}")
     return EXIT_OK
 
@@ -153,7 +150,7 @@ def cmd_train(args) -> int:
                          target_train_accuracy=args.target_acc)
     model, report = train(dataset, arch, config, hidden_activation=args.activation)
     save_model(model, args.out)
-    _manifest("train", args, args.seed, {"dataset": data_hash}).write_sidecar(args.out)
+    _write_manifest(args.out, "train", args, args.seed, {"dataset": data_hash})
     summary = {
         "architecture": arch,
         "parameter_count": model.parameter_count(),
@@ -188,13 +185,7 @@ def cmd_score(args) -> int:
         raise UsageError("--workers (or $DBC_WORKERS) must be at least 1")
     epsilon = _parse_epsilon(args.epsilon)
     dataset, data_hash = _load_dataset(args)
-    model = load_model(args.model)
-    model_hash = _sha256(args.model)
-    if model.dimension != dataset.dimension:
-        raise ModelError(
-            f"model dimension {model.dimension} does not match dataset "
-            f"dimension {dataset.dimension}"
-        )
+    model, model_hash = _load_model(args, dataset.dimension)
     reps = args.reps if args.reps is not None else 5 * dataset.count
     config = CrossingConfig(epsilon=epsilon, method=args.method.replace("-", "_"))
     divisor_mode = args.divisor.replace("-", "_")
@@ -222,8 +213,8 @@ def cmd_score(args) -> int:
                              sample_count=score.spectrum.sample_count,
                              value=score.value)]
     save_score_batch(args.out, scores, metadata)
-    _manifest("score", args, args.seed,
-              {"dataset": data_hash, "model": model_hash}).write_sidecar(args.out)
+    _write_manifest(args.out, "score", args, args.seed,
+                    {"dataset": data_hash, "model": model_hash})
     values = [s.value for s in scores]
     print(f"wrote {args.out}: {len(scores)} score(s), "
           f"median {float(np.median(values)):.6f}")
@@ -235,8 +226,6 @@ def cmd_compare(args) -> int:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
     scores_a, meta_a = load_score_batch(args.a)
     scores_b, meta_b = load_score_batch(args.b)
-    if not scores_a or not scores_b:
-        raise StatsError("score files must contain at least one score each")
     for path, meta in ((args.a, meta_a), (args.b, meta_b)):
         if meta.get("mode") == "global":
             raise StatsError(
@@ -288,8 +277,8 @@ def cmd_compare(args) -> int:
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-        _manifest("compare", args, None,
-                  {"a": _sha256(args.a), "b": _sha256(args.b)}).write_sidecar(args.out)
+        _write_manifest(args.out, "compare", args, None,
+                        {"a": _sha256(args.a), "b": _sha256(args.b)})
     print(text)
     return EXIT_OK
 
@@ -306,9 +295,7 @@ def cmd_plot2d(args) -> int:
         raise DatasetError(
             f"plot2d requires a 2-D dataset, got dimension {dataset.dimension}"
         )
-    model = load_model(args.model)
-    if model.dimension != 2:
-        raise ModelError(f"plot2d requires a 2-D model, got dimension {model.dimension}")
+    model, model_hash = _load_model(args, dataset.dimension)
     overlay = None
     if args.overlay_reps:
         config = CrossingConfig(epsilon=epsilon)
@@ -317,8 +304,8 @@ def cmd_plot2d(args) -> int:
         overlay = aset.points.T
     svg = render_plot2d(dataset, model, grid=args.grid, overlay=overlay)
     Path(args.out).write_text(svg, encoding="utf-8")
-    _manifest("plot2d", args, args.seed,
-              {"dataset": data_hash, "model": _sha256(args.model)}).write_sidecar(args.out)
+    _write_manifest(args.out, "plot2d", args, args.seed,
+                    {"dataset": data_hash, "model": model_hash})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -328,18 +315,27 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("blobs", help="generate a two-cluster synthetic dataset")
+    # flags shared by several commands, each defined once
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--label-column", default="label")
+    data.add_argument("--scale", action="store_true", help="min-max scale features to [0,1]")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    model.add_argument("--epsilon", default="1/256")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", required=True)
+
+    p = sub.add_parser("blobs", parents=[run], help="generate a two-cluster synthetic dataset")
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--center-distance", type=float, default=10.0)
     p.add_argument("--spread", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_blobs)
 
-    p = sub.add_parser("train", help="train an MLP classifier on a dataset CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default="label")
+    p = sub.add_parser("train", parents=[data, run],
+                       help="train an MLP classifier on a dataset CSV")
     p.add_argument("--arch", required=True, help="layer sizes, e.g. 2,10,1")
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=32)
@@ -347,31 +343,22 @@ def build_parser() -> _Parser:
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--activation", choices=("relu", "tanh"), default="relu")
     p.add_argument("--dropout", default="", help="per-hidden-layer rates, e.g. 0.2,0.2,0.2")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-acc", type=float, default=None)
-    p.add_argument("--scale", action="store_true", help="min-max scale features to [0,1]")
-    p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="compute DBC scores for a trained model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default="label")
+    p = sub.add_parser("score", parents=[model, data, run],
+                       help="compute DBC scores for a trained model")
     p.add_argument("--mode", choices=("local", "global"), default="local")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--reps", type=int, default=None,
                    help="pair draws; defaults to 5x dataset size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", default="1/256")
     p.add_argument("--method", choices=("bisection", "linear-scan"), default="bisection")
     p.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--divisor", choices=("effective", "paper-n"), default="effective")
     p.add_argument("--expand-around", choices=("a", "b"), default="b")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default $DBC_WORKERS or 1)")
-    p.add_argument("--scale", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="rank-test two score files")
@@ -387,17 +374,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("plot2d", help="render an SVG of data and decision regions")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default="label")
+    p = sub.add_parser("plot2d", parents=[model, data, run],
+                       help="render an SVG of data and decision regions")
     p.add_argument("--grid", type=int, default=200)
     p.add_argument("--overlay-reps", type=int, default=0,
                    help="overlay a global adversarial set of this many points")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", default="1/256")
-    p.add_argument("--scale", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot2d)
     return parser
 

@@ -335,8 +335,10 @@ def save_score_batch(path, scores: list[LocalScore], metadata: dict) -> None:
 
 
 def load_score_batch(path):
-    """Read a score CSV; returns (scores, metadata dict). A repeated
-    ``pair_index`` raises SpectrumError, since the paired test matches
+    """Read a score CSV; returns (scores, metadata dict). SpectrumError,
+    naming the file, refuses a format other than SCORES_FORMAT_VERSION (a
+    file without a format line reads as that one), a file without score
+    rows, and a repeated ``pair_index``, since the paired test matches
     scores by pair index."""
     path = Path(path)
     if not path.exists():
@@ -355,10 +357,11 @@ def load_score_batch(path):
                 metadata[key.strip()] = value.strip()
         else:
             body.append(line)
-    if not body:
-        raise SpectrumError(f"score file {path} has no rows")
-    reader = csv.DictReader(body)
-    for r, row in enumerate(reader):
+    version = metadata.get("format", SCORES_FORMAT_VERSION)
+    if version != SCORES_FORMAT_VERSION:
+        raise SpectrumError(f"score file {path} has format {version!r}; "
+                            f"this version reads {SCORES_FORMAT_VERSION!r} only")
+    for r, row in enumerate(csv.DictReader(body)):
         try:
             rows.append(LocalScore(pair_index=int(row["pair_index"]),
                                    k=int(row["k"]),
@@ -374,4 +377,6 @@ def load_score_batch(path):
             raise SpectrumError(f"score row {r} in {path} repeats pair_index "
                                 f"{rows[-1].pair_index}")
         seen.add(rows[-1].pair_index)
+    if not rows:
+        raise SpectrumError(f"score file {path} has no score rows")
     return rows, metadata

@@ -42,11 +42,6 @@ def render_plot2d(dataset, f, grid: int = 200, overlay=None) -> str:
     side = CANVAS - 2 * PAD
     cell = side / grid
 
-    def to_px(xy):
-        sx = PAD + (xy[:, 0] - lo[0]) / (hi[0] - lo[0]) * side
-        sy = PAD + (hi[1] - xy[:, 1]) / (hi[1] - lo[1]) * side
-        return sx, sy
-
     centers_x = lo[0] + (np.arange(grid) + 0.5) / grid * (hi[0] - lo[0])
     centers_y = hi[1] - (np.arange(grid) + 0.5) / grid * (hi[1] - lo[1])
     gx, gy = np.meshgrid(centers_x, centers_y)
@@ -59,36 +54,28 @@ def render_plot2d(dataset, f, grid: int = 200, overlay=None) -> str:
              f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" fill="#ffffff"/>']
 
     parts.append('<g shape-rendering="crispEdges">')
-    for row in range(grid):
+    for row, line in enumerate(labels):
         y = PAD + row * cell
-        col = 0
-        while col < grid:
-            run = col
-            while run < grid and labels[row, run] == labels[row, col]:
-                run += 1
-            fill = CLASS1_FILL if labels[row, col] else CLASS0_FILL
+        # a run starts at column 0 and wherever the class changes
+        starts = [0, *(np.flatnonzero(line[1:] != line[:-1]) + 1).tolist()]
+        for col, run in zip(starts, starts[1:] + [grid]):
+            fill = CLASS1_FILL if line[col] else CLASS0_FILL
             parts.append(
                 f'<rect x="{_fmt(PAD + col * cell)}" y="{_fmt(y)}" '
                 f'width="{_fmt((run - col) * cell)}" height="{_fmt(cell)}" '
                 f'fill="{fill}"/>'
             )
-            col = run
     parts.append("</g>")
 
-    for cls, color in ((0, CLASS0_POINT), (1, CLASS1_POINT)):
-        rows = X[dataset.labels == cls]
-        sx, sy = to_px(rows)
+    groups = [(X[dataset.labels == 0], CLASS0_POINT, 3), (X[dataset.labels == 1], CLASS1_POINT, 3)]
+    if overlay is not None and len(overlay):
+        groups.append((np.atleast_2d(np.asarray(overlay, dtype=np.float64)), OVERLAY_POINT, 2))
+    for points, color, radius in groups:
+        sx = PAD + (points[:, 0] - lo[0]) / (hi[0] - lo[0]) * side
+        sy = PAD + (hi[1] - points[:, 1]) / (hi[1] - lo[1]) * side
         parts.append(f'<g fill="{color}">')
         for px, py in zip(sx, sy):
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3"/>')
-        parts.append("</g>")
-
-    if overlay is not None and len(overlay):
-        overlay = np.atleast_2d(np.asarray(overlay, dtype=np.float64))
-        sx, sy = to_px(overlay)
-        parts.append(f'<g fill="{OVERLAY_POINT}">')
-        for px, py in zip(sx, sy):
-            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2"/>')
+            parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{radius}"/>')
         parts.append("</g>")
 
     parts.append(f'<rect x="{PAD}" y="{PAD}" width="{side}" height="{side}" '

@@ -353,8 +353,15 @@ class TestLocalSet:
         ds = LabeledDataset(features, np.array([0] * 5 + [1] * 3))
         f = make_zigzag_model()
         pair = sample_pair(ds, 0, seed=0)
-        with pytest.raises(Exception, match="exceeds|population"):
+        # the message names the k asked for, not the k+1 rows it needs
+        message = ("k=3 needs k+1=4 class-1 rows per local set, which exceeds "
+                   "the class-1 population of 3")
+        with pytest.raises(Exception, match="exceeds|population") as info:
             local_adversarial_set(f, ds, pair, k=3)
+        assert message in str(info.value)
+        with pytest.raises(Exception, match="exceeds|population") as info:
+            dbc_local_batch(f, ds, reps=4, k=3)
+        assert message in str(info.value)
 
 
 def flip_row(features, row):

@@ -322,6 +322,24 @@ class TestCompare:
             err = capsys.readouterr().err
             assert "bad_scores.csv" in err and "row 0" in err
 
+    def test_header_only_and_other_version_files_refused(self, score_files, tmp_path,
+                                                          capsys):
+        """A score file with a header but no rows, and one of format
+        dbc-scores/9, exit 2 under either test and name the file."""
+        lines = score_files["simple"].read_text().splitlines()
+        header = [ln for ln in lines if ln.startswith("#") or ln.startswith("pair_index")]
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("\n".join(header) + "\n")
+        version_9 = tmp_path / "version_9.csv"
+        version_9.write_text("\n".join(lines).replace("dbc-scores/1", "dbc-scores/9") + "\n")
+        for bad, message in ((header_only, "has no score rows"),
+                             (version_9, "has format 'dbc-scores/9'")):
+            for test in ("signed-rank", "mann-whitney"):
+                assert run(["compare", "--a", score_files["complex"], "--b", bad,
+                            "--test", test]) == 2
+                err = capsys.readouterr().err
+                assert bad.name in err and message in err
+
     def test_signed_rank_report_counts_shared_pairs(self, score_files, tmp_path, capsys):
         """The paired report says how many pair indices both files share and
         how many each holds alone; a row dropped from one file is one
@@ -395,6 +413,19 @@ class TestPlot2d:
                     "--out", tmp_path / "x.svg"])
         assert code == 2
 
+    def test_model_of_another_dimension_refused(self, workspace, tmp_path, capsys):
+        """score and plot2d share one model check and one message."""
+        from dbcscore import MlpModel, save_model
+        path = tmp_path / "three.json"
+        save_model(MlpModel([3, 1], [np.ones((1, 3))], [np.zeros(1)]), path)
+        for command in (["score", "--mode", "global"], ["plot2d"]):
+            out = tmp_path / "x.out"
+            assert run([*command, "--model", path, "--data", workspace["data"],
+                        "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert "model dimension 3 does not match dataset dimension 2" in err
+            assert not out.exists()
+
     def test_rerun_identical_bytes(self, workspace):
         a = workspace["root"] / "p1.svg"
         b = workspace["root"] / "p2.svg"
@@ -422,19 +453,43 @@ def argv_from_manifest(manifest, out_path):
     return argv
 
 
+def manifest_commands(workspace, score_files):
+    """One command line per subcommand; shared flags take non-default
+    values where the command has them."""
+    data, simple = workspace["data"], workspace["simple"]
+    return {
+        "blobs": (["blobs", "--per-class", 10, "--dim", 3, "--seed", 4], "csv"),
+        "train": (["train", "--data", data, "--label-column", "label", "--scale",
+                   "--arch", "2,3,1", "--epochs", 3, "--seed", 5], "json"),
+        "score": (["score", "--model", simple, "--data", data, "--mode", "local",
+                   "--k", 3, "--reps", 15, "--seed", 6, "--epsilon", "1/512"], "csv"),
+        "compare": (["compare", "--a", score_files["simple"], "--b", score_files["complex"],
+                     "--test", "mann-whitney", "--alpha", "0.05"], "json"),
+        "plot2d": (["plot2d", "--model", simple, "--data", data, "--grid", 12,
+                    "--overlay-reps", 4, "--seed", 2, "--epsilon", "1/64"], "svg"),
+    }
+
+
 class TestManifest:
-    def test_rerun_from_manifest_reproduces_file(self, workspace, tmp_path):
+    @pytest.mark.parametrize("command", ["blobs", "train", "score", "compare", "plot2d"])
+    def test_rerun_from_manifest_reproduces_file(self, workspace, score_files, tmp_path,
+                                                 command, capsys):
         """The manifest sidecar is a complete recipe: replaying it yields
-        a byte-identical output file."""
-        original = workspace["root"] / "replay.csv"
-        assert run(["score", "--model", workspace["simple"], "--data",
-                    workspace["data"], "--mode", "local", "--k", 3,
-                    "--reps", 15, "--seed", 6, "--out", original]) == 0
-        manifest = json.loads((workspace["root"] / "replay.csv.manifest.json")
-                              .read_text())
-        replayed = tmp_path / "replayed.csv"
+        a byte-identical output file and the same flags."""
+        argv, suffix = manifest_commands(workspace, score_files)[command]
+        original, replayed = tmp_path / f"original.{suffix}", tmp_path / f"replayed.{suffix}"
+        assert run(argv + ["--out", original]) == 0
+        manifest = json.loads(Path(f"{original}.manifest.json").read_text())
+        assert manifest["command"] == command
         assert run(argv_from_manifest(manifest, replayed)) == 0
         assert replayed.read_bytes() == original.read_bytes()
+        assert list(manifest) == ["command", "flags", "master_seed", "input_hashes",
+                                  "artifact_version", "timestamp"]
+        again = json.loads(Path(f"{replayed}.manifest.json").read_text())
+        for sidecar in (manifest, again):
+            del sidecar["timestamp"], sidecar["flags"]["out"]
+        assert again == manifest
+        capsys.readouterr()
 
 
 class TestExitCodes:

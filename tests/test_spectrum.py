@@ -492,6 +492,19 @@ class TestScoreFiles:
         with pytest.raises(SpectrumError, match=r"row 2 in .*twice\.csv repeats pair_index 0"):
             load_score_batch(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("# format: dbc-scores/1\n# seed: 1\npair_index,k,m,dbc,divisor_mode,centered\n",
+         "has no score rows"),
+        ("# format: dbc-scores/1\n", "has no score rows"),
+        ("# format: dbc-scores/9\npair_index,k,m,dbc,divisor_mode,centered\n"
+         "0,2,3,0.5,e,true\n", "has format 'dbc-scores/9'"),
+    ], ids=["header only", "no header", "version 9"])
+    def test_refused_files(self, tmp_path, text, message):
+        path = tmp_path / "refused.csv"
+        path.write_text(text)
+        with pytest.raises(SpectrumError, match=rf"score file .*refused\.csv {message}"):
+            load_score_batch(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("pair_index,k,m,dbc,divisor_mode,centered\n1,2,oops,0.5,e,true\n")
