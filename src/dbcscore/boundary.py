@@ -6,8 +6,11 @@ configured precision allows. Crossings for a whole batch of segments are
 driven in lockstep so that construction cost is dominated by batched
 forward passes, while each segment's result is identical to what a lone
 ``find_crossing`` call produces for it. A global set, a local set and a
-block of local sets are all one stack of segment lists through that one
-batch: orientation and the failure rules apply per set.
+local batch are all one stack of segment lists, planned before any
+search: each distinct segment searched once, in its first block, and
+every set that holds it reads that one result. Orientation and the
+failure rules apply per set; what a block searches depends on the sets
+up to its own only.
 
 Decision functions must accept a 2-D array of n rows and return an array
 of shape (n,) with values in [0, 1]; ``MlpModel`` instances satisfy this
@@ -314,60 +317,122 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _crossing_sets(search, dataset: LabeledDataset, ends, f_rows, kind: str,
-                   config: CrossingConfig) -> list:
-    """One crossing set per row of ``ends``, columns in segment order.
-
-    ``ends`` holds one (row, row) index pair per segment of each set, shape
-    (sets, segments, 2); ``f_rows`` and ``search`` are ``_evaluate`` of the
-    dataset's rows. Whichever end f puts strictly below 0.5 becomes the A
-    side, whatever the labels. Every straddling segment of every set goes
-    through one ``_crossing_kernel`` call. A segment fails when its ends lie
-    on one side, or when its f-value, at an end or at the crossing, is not
-    finite; each set lists its CrossingFailures in position order, and more
-    than MAX_FAILURE_RATE of them, or fewer than two crossings, abort it.
-    Returns, per set, that FailureRateExceeded or (points, columns,
-    failures): the crossings as rows, and the positions, oriented ends, lam
-    and f-values from which ``_one_set`` builds the provenance.
-    """
+def _orient(ends, f_rows):
+    """f's values at the (row, row) ``ends`` of each segment, whether they
+    straddle 0.5, and the ends with the f < 0.5 end first; ``f_rows`` is f's
+    value on each dataset row. Orientation follows f, whatever the labels,
+    so it is a function of a segment's two rows."""
     f_ends = f_rows[ends]
-    segments = ends.shape[1]
-    finite_ends = np.isfinite(f_ends).all(axis=2)
     below = f_ends < 0.5
-    crossed = finite_ends & (below[..., 0] != below[..., 1])
-    oriented = np.where(below[..., 1:], ends[..., ::-1], ends)
+    crossed = np.isfinite(f_ends).all(axis=-1) & (below[..., 0] != below[..., 1])
+    return f_ends, crossed, np.where(below[..., 1:], ends[..., ::-1], ends)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The search of a stack of sets' segments, planned before any search;
+    ``_plan`` builds it.
+
+    ``ends`` holds the (row, row) ends of each position of each set, and
+    ``f_rows`` f's value on each dataset row. ``distinct`` holds the
+    oriented ends of each distinct straddling segment, in order of first
+    occurrence, and ``segment`` the index into it of each position, or -1
+    where the position's ends do not straddle 0.5. Block b, the sets
+    b*per_block .. (b+1)*per_block - 1, searches
+    ``distinct[owned[b]:owned[b+1]]``.
+    """
+
+    ends: np.ndarray
+    f_rows: np.ndarray
+    distinct: np.ndarray
+    segment: np.ndarray
+    per_block: int
+    owned: np.ndarray
+
+    def at_positions(self, lam, fval, sets: slice = slice(None)):
+        """lam and f-value at each position of the sets ``sets``, from
+        those of ``distinct``; the f-value stays NaN where the ends do not
+        straddle 0.5."""
+        segment = self.segment[sets]
+        crossed = segment >= 0
+        lam_at, fval_at = np.zeros(segment.shape), np.full(segment.shape, np.nan)
+        lam_at[crossed], fval_at[crossed] = lam[segment[crossed]], fval[segment[crossed]]
+        return lam_at, fval_at
+
+
+def _plan(ends, f_rows, per_block: int) -> _Plan:
+    """Plan the search of the segments ``ends``, one (row, row) index pair
+    per segment of each set, shape (sets, segments, 2), for blocks of
+    ``per_block`` sets; ``f_rows`` is f's value on each dataset row.
+
+    A segment's orientation, and with it its search, is a function of its
+    two rows (``_orient``): the positions that name the same two rows
+    share one search. Each distinct straddling segment is searched once,
+    by the block where it first appears, so what a block searches depends
+    on the sets up to its own only.
+    """
+    _, crossed, oriented = _orient(ends, f_rows)
     kept = oriented[crossed]
-    A_all, B_all = dataset.features[kept[:, 0]], dataset.features[kept[:, 1]]
+    _, first, inverse = np.unique(kept[:, 0] * len(f_rows) + kept[:, 1],
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    segment = np.full(crossed.shape, -1)
+    segment[crossed] = rank[inverse]
+    owner = np.nonzero(crossed)[0][first[order]] // per_block
+    blocks = -(-len(ends) // per_block)
+    return _Plan(ends=ends, f_rows=f_rows, distinct=kept[first[order]], segment=segment,
+                 per_block=per_block, owned=np.searchsorted(owner, np.arange(blocks + 1)))
+
+
+def _search(search, segments, config: CrossingConfig):
+    """lam and f-value of each oriented segment of ``segments``, shape
+    (m, 2), from one ``_crossing_kernel`` call on the rows that ``search``,
+    an ``_evaluate`` result, searches."""
     g, space = search
-    lam_all, fval_all, _, _ = _crossing_kernel(
-        g, *((A_all, B_all) if space is dataset.features
-             else (space[kept[:, 0]], space[kept[:, 1]])), config)
-    # a segment's f-value stays NaN unless the kernel located its crossing
-    lam, fval = np.zeros(crossed.shape), np.full(crossed.shape, np.nan)
-    lam[crossed], fval[crossed] = lam_all, fval_all
+    lam, fval, _, _ = _crossing_kernel(g, *space[segments.T], config)
+    return lam, fval
+
+
+def _crossing_sets(plan: _Plan, sets: slice, lam, fval, features, kind: str) -> list:
+    """One crossing set per set ``sets`` of ``plan``, columns in segment
+    order.
+
+    ``lam`` and ``fval`` are those sets' ``_Plan.at_positions``, and
+    ``features`` the dataset rows. A segment fails when its ends lie on
+    one side, or when its f-value, at an end or at the crossing, is not
+    finite; each set lists its CrossingFailures in position order, and
+    more than MAX_FAILURE_RATE of them, or fewer than two crossings, abort
+    it. Returns, per set, that FailureRateExceeded or (points, columns,
+    failures): the crossings as rows, and the positions, oriented ends,
+    lam and f-values from which ``_one_set`` builds the provenance.
+    """
+    ends = plan.ends[sets]
+    f_ends, crossed, oriented = _orient(ends, plan.f_rows)
+    segments = ends.shape[1]
+    found = np.isfinite(fval)
     failures = [[] for _ in ends]
-    for s, i in zip(*np.nonzero(~np.isfinite(fval))):  # position order in each set
+    for s, i in zip(*np.nonzero(~found)):  # position order in each set
         fa, fb = f_ends[s, i]
         reason = (f"non-finite decision value at lam={lam[s, i]:.6g}" if crossed[s, i]
-                  else "both endpoints on the same side of 0.5" if finite_ends[s, i]
+                  else "both endpoints on the same side of 0.5"
+                  if math.isfinite(fa) and math.isfinite(fb)
                   else "non-finite decision value at an endpoint")
         failures[s].append(CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
                                            index_b=int(ends[s, i, 1]),
                                            reason=f"{reason} (f={fa:.6g} and f={fb:.6g})"))
-    position = np.nonzero(crossed)[1]
+    position = np.nonzero(found)[1]
+    oriented, lam, fval = oriented[found], lam[found], fval[found]
     results = []
     stop = 0
-    for s, count in enumerate(crossed.sum(axis=1).tolist()):
+    for s, count in enumerate(found.sum(axis=1).tolist()):
         part = slice(stop, stop + count)
         stop += count
-        A, B = A_all[part], B_all[part]
-        columns = (position[part], kept[part], lam_all[part], fval_all[part])
-        if len(failures[s]) + count > segments:  # a crossing failed; else all stay views
-            keep = np.isfinite(fval_all[part])
-            A, B, columns = A[keep], B[keep], tuple(c[keep] for c in columns)
         # one set's rows at a time stay in cache, where a whole block's do not
-        results.append(_abort(failures[s], segments, segments - len(failures[s]), kind) or (
-            _interp(columns[2], A, B), columns, tuple(failures[s])))
+        results.append(_abort(failures[s], segments, count, kind) or (
+            _interp(lam[part], *features[oriented[part].T]),
+            (position[part], oriented[part], lam[part], fval[part]), tuple(failures[s])))
     return results
 
 
@@ -390,9 +455,13 @@ def _abort(failures, attempted, crossings, kind):
 def _one_set(f, dataset: LabeledDataset, ends, kind: str,
              config: CrossingConfig) -> AdversarialSet:
     """The AdversarialSet, with provenance, of the segments ``ends``, shape
-    (segments, 2); raises the FailureRateExceeded that aborts the set."""
+    (segments, 2); raises the FailureRateExceeded that aborts the set. The
+    set is searched as a local batch's one block would be: each distinct
+    straddling segment once, in one kernel call."""
     f_rows, search = _evaluate(f, dataset.features)
-    result, = _crossing_sets(search, dataset, ends[None], f_rows, kind, config)
+    plan = _plan(ends[None], f_rows, 1)
+    result, = _crossing_sets(plan, slice(None), *plan.at_positions(
+        *_search(search, plan.distinct, config)), dataset.features, kind)
     if isinstance(result, FailureRateExceeded):
         raise result
     points, (positions, ends, lam, fval), failures = result

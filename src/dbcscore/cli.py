@@ -176,9 +176,9 @@ def cmd_score(args) -> int:
         raise UsageError(f"--reps must be at least 2 in global mode, got {args.reps}")
     workers = args.workers
     if workers is None:
-        text = os.environ.get("DBC_WORKERS", "1")
+        text = os.environ.get("DBC_WORKERS")
         try:
-            workers = int(text)
+            workers = len(os.sched_getaffinity(0)) if text is None else int(text)
         except ValueError:
             raise UsageError(f"$DBC_WORKERS must be an integer, got {text!r}") from None
     if workers < 1:
@@ -358,7 +358,8 @@ def build_parser() -> _Parser:
     p.add_argument("--divisor", choices=("effective", "paper-n"), default="effective")
     p.add_argument("--expand-around", choices=("a", "b"), default="b")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default $DBC_WORKERS or 1)")
+                   help="worker processes (default $DBC_WORKERS, else the CPUs "
+                        "this process may run on)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="rank-test two score files")

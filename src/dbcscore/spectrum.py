@@ -12,12 +12,15 @@ dominates the spectrum. The divisor is min(n, m) by default ("effective");
 ``paper_n`` divides by log n instead, which caps scores well below 1
 whenever m is much smaller than n.
 
-A local batch scores its pairs in fixed blocks: each block's local sets
-share one crossing-kernel call, and its sets of equal size share one
-stacked eigensolver call. Each set still gets its own checks, eigenvalues
-and entropy, computed with the bits of a lone ``eigen_spectrum`` and
-``normalized_entropy``, so a score never depends on the block, the batch
-length or the worker count.
+A local batch scores its pairs in fixed blocks, in two phases. First,
+each distinct segment of the batch is searched once, in its first block:
+a block's kernel call covers the segments that first appear there. Then
+each block's local sets read their crossings from those shared results,
+and its sets of equal size share one stacked eigensolver call. Each set
+still gets its own checks, eigenvalues and entropy, computed with the
+bits of a lone ``eigen_spectrum`` and ``normalized_entropy``. A score
+depends on the pairs up to its block only, so never on the batch length
+or the worker count.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import contextlib
 import csv
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +39,8 @@ import numpy as np
 
 from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
                        CrossingConfig, FailureRateExceeded, _crossing_sets,
-                       _evaluate, _local_ends, global_adversarial_set)
+                       _evaluate, _local_ends, _plan, _Plan, _search,
+                       global_adversarial_set)
 from .dataset import LabeledDataset, sample_pairs
 # dbcbench/tracing.py wraps these names here; the batch itself never calls them
 from .boundary import local_adversarial_set  # noqa: F401
@@ -179,7 +184,7 @@ class LocalScore:
     value: float
 
 
-# a pool worker's bound _score_block, set once by its initializer
+# a pool worker's _LocalBatch, set once by its initializer
 _pool_task = None
 
 
@@ -188,8 +193,8 @@ def _set_pool_task(task) -> None:
     _pool_task = task
 
 
-def _run_pool_task(start: int):
-    return _pool_task(start)
+def _run_pool_task(phase, args):
+    return phase(_pool_task, *args)
 
 
 @functools.cache
@@ -233,25 +238,64 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-def _score_block(start: int, search, dataset, ends, f_rows, block, k, config, center,
-                 divisor_mode):
-    """LocalScores of pairs start .. start+block-1; a pair whose local set
-    aborts gets the message of its FailureRateExceeded instead. Sets of
-    equal size are stacked into one ``_eigenvalues`` call."""
-    results = _crossing_sets(search, dataset, ends[start:start + block], f_rows, "local",
-                             config)
-    sizes = {}
-    for i, result in enumerate(results):
-        if not isinstance(result, FailureRateExceeded):
-            sizes.setdefault(result[0].shape[0], []).append(i)
-    for m, members in sizes.items():
-        # (sets, n, m): each set's examples as columns, as eigen_spectrum takes them
-        stack = np.stack([results[i][0] for i in members]).swapaxes(1, 2)
-        divisor = _divisor(dataset.dimension, m, divisor_mode)
-        for i, eig in zip(members, _eigenvalues(stack, center)):
-            results[i] = LocalScore(pair_index=start + i, k=k, sample_count=m,
-                                    value=_entropy(eig, divisor))
-    return [str(r) if isinstance(r, FailureRateExceeded) else r for r in results]
+@dataclass(frozen=True)
+class _LocalBatch:
+    """A planned local batch, shared by its blocks. ``search`` runs phase 1
+    of a block and ``score`` phase 2; a pool's workers get the batch once,
+    when they fork, and each task then names its block."""
+
+    plan: _Plan
+    search_space: tuple
+    dataset: LabeledDataset
+    k: int
+    config: CrossingConfig
+    center: bool
+    divisor_mode: str
+
+    def search(self, block: int):
+        """lam and f-value of each distinct segment that ``block`` owns."""
+        owned = self.plan.owned
+        return _search(self.search_space, self.plan.distinct[owned[block]:owned[block + 1]],
+                       self.config)
+
+    def score(self, sets: slice, lam, fval):
+        """LocalScores of the pairs of the block ``sets``, given lam and
+        f-value at each of their positions; a pair whose local set aborts
+        gets the message of its FailureRateExceeded instead. Sets of equal
+        size are stacked into one ``_eigenvalues`` call."""
+        results = _crossing_sets(self.plan, sets, lam, fval, self.dataset.features, "local")
+        sizes = {}
+        for i, result in enumerate(results):
+            if not isinstance(result, FailureRateExceeded):
+                sizes.setdefault(result[0].shape[0], []).append(i)
+        for m, members in sizes.items():
+            # (sets, n, m): each set's examples as columns, as eigen_spectrum takes them
+            stack = np.stack([results[i][0] for i in members]).swapaxes(1, 2)
+            divisor = _divisor(self.dataset.dimension, m, self.divisor_mode)
+            for i, eig in zip(members, _eigenvalues(stack, self.center)):
+                results[i] = LocalScore(pair_index=sets.start + i, k=self.k, sample_count=m,
+                                        value=_entropy(eig, divisor))
+        return [str(r) if isinstance(r, FailureRateExceeded) else r for r in results]
+
+
+def _both_phases(batch: _LocalBatch, run) -> list:
+    """Every block's phase 1 and phase 2; ``run(phase, arguments)`` maps a
+    phase over one tuple of arguments per block, in block order. Block b
+    reads only segments that blocks 0..b search, so its phase 2 is given
+    the lam and f-values at its positions as soon as its own phase 1 is
+    done, and never waits for a later block's."""
+    plan = batch.plan
+    blocks = range(len(plan.owned) - 1)
+    lam, fval = np.empty(len(plan.distinct)), np.empty(len(plan.distinct))
+
+    def scoring_tasks():
+        for b, searched in zip(blocks, run(_LocalBatch.search, ((b,) for b in blocks))):
+            owned = slice(plan.owned[b], plan.owned[b + 1])
+            lam[owned], fval[owned] = searched
+            sets = slice(b * plan.per_block, (b + 1) * plan.per_block)
+            yield (sets, *plan.at_positions(lam, fval, sets))
+
+    return [r for scores in run(_LocalBatch.score, scoring_tasks()) for r in scores]
 
 
 def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
@@ -266,21 +310,29 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     segment ends, and one k_nearest call finds the neighbours of every
     distinct hub row at once. Pair i then goes to block i // P, where
     P = min(32, max(1, ROW_BUDGET // ((k+1) * dimension))) depends only
-    on k and the dimension; each block's segments go through one
-    crossing-kernel call, and each pair's set gets its own spectrum,
-    though the block's sets of equal size share one stacked eigensolver
-    call. Blocks may fan out over min(``workers``, blocks) processes; a
-    single block runs serially. The pool forks its
-    workers, each of which receives ``f`` and ``dataset`` once, when it
-    starts. It asks for fork by name, since forkserver (Python 3.14's
-    default on Linux) would pickle ``f``, which fails for a closure, and
-    would not hand over the parent's BLAS thread count. The parent runs
-    its BLAS on one thread while the pool runs, so each worker inherits
-    one thread, and then restores its own count. Since a block's rows
-    never depend on ``workers`` or ``reps``, results are identical at any
-    worker count (at least 1). Scores that fail (too many crossing
-    failures inside one local set) are dropped; more than
-    MAX_FAILURE_RATE of them dropped aborts the batch.
+    on k and the dimension. Each distinct segment is searched once, in its
+    first block: one crossing-kernel call per block covers the segments
+    that first appear there, and every set that holds a segment reads its
+    crossing from that one result. Each pair's set then gets its own
+    spectrum, though the block's sets of equal size share one stacked
+    eigensolver call. A block's searches depend on the pairs up to that
+    block only, and pair i on (seed, i) alone, so a pair's score depends
+    on neither ``reps`` nor ``workers``: results are identical at any
+    worker count (at least 1).
+
+    Blocks may fan out over min(``workers``, blocks) processes, one pool
+    for both phases; a single block runs serially. The pool forks its
+    workers, each of which receives ``f``, ``dataset`` and the plan once,
+    when it starts; a block's second-phase task carries the lam and
+    f-values of its own positions, and is queued as soon as the searches
+    of the blocks up to its own are back. It asks for fork by name, since
+    forkserver (Python 3.14's default on Linux) would pickle ``f``, which
+    fails for a closure, and would not hand over the parent's BLAS thread
+    count. The parent runs its BLAS on one thread while the pool runs, so
+    each worker inherits one thread, and then restores its own count.
+    Scores that fail (too many crossing failures inside one local set)
+    are dropped; more than MAX_FAILURE_RATE of them dropped aborts the
+    batch.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -289,22 +341,22 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set
     block = min(32, max(1, ROW_BUDGET // ((k + 1) * dataset.dimension)))
-    task = functools.partial(_score_block, search=search,
-                             dataset=dataset, ends=ends, f_rows=f_rows, block=block,
-                             k=k, config=config, center=center,
-                             divisor_mode=divisor_mode)
-    starts = range(0, reps, block)
-    processes = min(workers, len(starts))
+    batch = _LocalBatch(plan=_plan(ends, f_rows, block), search_space=search,
+                        dataset=dataset, k=k, config=config, center=center,
+                        divisor_mode=divisor_mode)
+    blocks = len(batch.plan.owned) - 1
+    processes = min(workers, blocks)
     if processes == 1:
-        blocks = map(task, starts)
+        results = _both_phases(
+            batch, lambda phase, args: itertools.starmap(functools.partial(phase, batch), args))
     else:
         import multiprocessing  # only pools need it; it adds to every start-up
+        chunksize = max(1, blocks // (processes * 8))
         with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
                 max_workers=processes, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_pool_task, initargs=(task,)) as pool:
-            blocks = list(pool.map(_run_pool_task, starts,
-                                   chunksize=max(1, len(starts) // (processes * 8))))
-    results = [r for scores in blocks for r in scores]
+                initializer=_set_pool_task, initargs=(batch,)) as pool:
+            results = _both_phases(batch, lambda phase, args: pool.map(
+                functools.partial(_run_pool_task, phase), args, chunksize=chunksize))
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
     if len(failures) / reps > MAX_FAILURE_RATE:
         raise FailureRateExceeded(

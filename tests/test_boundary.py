@@ -241,7 +241,8 @@ class TestFindCrossing:
         """No f call of a many-segment linear-scan global set gets more
         than max(1, ROW_BUDGET // d) rows, however many segments the set
         has, even where one segment's grid is larger (257 rows against
-        128 at budget 256)."""
+        128 at budget 256). A pair drawn twice is one segment, searched
+        once."""
         monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
         calls = []
 
@@ -254,7 +255,8 @@ class TestFindCrossing:
                                       config=CrossingConfig(method="linear_scan"))
         assert aset.sample_count == reps
         scan = calls[1:]  # the first call evaluates the dataset rows
-        assert sum(scan) == reps * 257
+        distinct = {(p.index_a, p.index_b) for p in sample_pairs(blobs_2d, reps, 4)}
+        assert len(distinct) < reps and sum(scan) == len(distinct) * 257
         assert max(scan) <= max(1, budget // blobs_2d.dimension)
 
     def test_swapped_endpoints_land_nearby(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dbcscore
+from dbcscore import LocalScore, cli
 from dbcscore.cli import main
 
 
@@ -136,6 +137,28 @@ class TestScore:
                         "--out", out]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_workers_default_to_the_usable_cpus(self, workspace, monkeypatch):
+        """Without --workers or $DBC_WORKERS, a local score asks for one
+        worker per CPU the process may run on; the variable overrides that
+        count, and the flag overrides both."""
+        asked = []
+
+        def spy(*args, workers, **kwargs):
+            asked.append(workers)
+            return [LocalScore(pair_index=0, k=3, sample_count=4, value=0.5)]
+
+        monkeypatch.setattr(cli, "dbc_local_batch", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        monkeypatch.delenv("DBC_WORKERS", raising=False)
+        argv = ["score", "--model", workspace["simple"], "--data", workspace["data"],
+                "--mode", "local", "--k", 3, "--reps", 5,
+                "--out", workspace["root"] / "wd.csv"]
+        assert run(argv) == 0
+        monkeypatch.setenv("DBC_WORKERS", "2")
+        assert run(argv) == 0
+        assert run(argv + ["--workers", 7]) == 0
+        assert asked == [3, 2, 7]
 
     def test_global_mode(self, workspace):
         out = workspace["root"] / "g.csv"

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from dbcscore import (CrossingConfig, EigenSpectrum, FailureRateExceeded, LabeledDataset,
-                      MlpModel, SpectrumError, TrainConfig, dbc_global, dbc_local_batch,
-                      eigen_spectrum, load_score_batch, local_adversarial_set,
-                      make_blobs, normalized_entropy, sample_pair, save_score_batch,
+from dbcscore import (CrossingConfig, CrossingError, EigenSpectrum, FailureRateExceeded,
+                      LabeledDataset, MlpModel, SpectrumError, TrainConfig, dbc_global,
+                      dbc_local_batch, eigen_spectrum, find_crossing, k_nearest,
+                      load_score_batch, local_adversarial_set, make_blobs,
+                      normalized_entropy, sample_pair, sample_pairs, save_score_batch,
                       train)
 from dbcscore import spectrum
 from dbcscore.spectrum import LocalScore
@@ -442,6 +443,110 @@ class TestComposedScores:
         for k in (3, 5, 10):
             scores = dbc_local_batch(linear_model_2d, blobs_2d, reps=5, k=k, seed=1)
             assert all(s.sample_count == k + 1 for s in scores)
+
+
+def smooth_boundary(x):
+    """A curved boundary computed row by row, so a row's value never
+    depends on the rows beside it."""
+    x = np.atleast_2d(x)
+    return 1.0 / (1.0 + np.exp(-(1.3 * x[:, 0] + 0.7 * np.sin(1.9 * x[:, 1]) + 0.1)))
+
+
+def segment_blocks(ds, reps, k, seed, f_rows, block=32):
+    """Straddling segment (anchor, neighbour) -> the blocks of ``block``
+    pairs whose local sets hold it, from sample_pairs and k_nearest alone."""
+    blocks = {}
+    for i, pair in enumerate(sample_pairs(ds, reps, seed)):
+        for j in k_nearest(ds, ds.features[pair.index_b], class_filter=1, k=k + 1):
+            if (f_rows[pair.index_a] < 0.5) != (f_rows[j] < 0.5):
+                blocks.setdefault((pair.index_a, j), set()).add(i // block)
+    return blocks
+
+
+class TestSharedSearch:
+    """A local batch searches each distinct segment once, in the block
+    where it first appears; every set that holds it reads that result.
+    Twelve rows per class at k = 4 make 128 pairs repeat their segments
+    across all four blocks of 32 pairs."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return make_blobs(per_class=12, dimension=2, center_distance=3.0, spread=1.0,
+                          seed=6)
+
+    def test_each_distinct_segment_is_searched_once(self, small):
+        rows = []
+
+        def f(x):
+            rows.append(len(x))
+            return smooth_boundary(x)
+
+        eps = 1 / 1024
+        dbc_local_batch(f, small, reps=128, k=4, config=CrossingConfig(epsilon=eps), seed=5)
+        blocks = segment_blocks(small, 128, 4, 5, smooth_boundary(small.features))
+        assert any(len(b) > 1 for b in blocks.values())
+        assert sum(rows) == small.count + len(blocks) * math.ceil(math.log2(1 / eps))
+
+    def test_workers_match_serial_across_blocks(self, small):
+        """Blocks read segments that earlier blocks searched, whichever
+        process searched them."""
+        blocks = segment_blocks(small, 128, 4, 5, smooth_boundary(small.features))
+        assert sum(min(b) < max(b) for b in blocks.values()) > 10
+        config = CrossingConfig(epsilon=1 / 1024)
+        serial = dbc_local_batch(smooth_boundary, small, reps=128, k=4, config=config,
+                                 seed=5)
+        assert len(serial) == 128
+        for workers in (1, 2, 3):
+            assert dbc_local_batch(smooth_boundary, small, reps=128, k=4, config=config,
+                                   seed=5, workers=workers) == serial, workers
+
+    def test_a_failing_segment_fails_every_set_that_holds_it(self):
+        """f is NaN within 0.05 of two class-1 rows near the boundary, so
+        the segments that end there fail at an end, and some that pass by
+        fail at their crossing; such segments recur in sets of several
+        blocks. Each set lists its failures in position order and aborts
+        on more than 10% of them, as a lone find_crossing per segment
+        says, and every score equals the lone set's, bit for bit."""
+        ds = make_blobs(per_class=60, dimension=2, center_distance=4.0, spread=1.0, seed=3)
+        class1 = ds.class_indices(1)
+        near = class1[np.argsort(np.abs(smooth_boundary(ds.features[class1]) - 0.5))]
+        centers = ds.features[near[[0, -1]]]
+
+        def f(x):
+            x = np.atleast_2d(x)
+            holed = (((x[:, None, :] - centers[None]) ** 2).sum(axis=2) < 0.05 ** 2).any(axis=1)
+            return np.where(holed, np.nan, smooth_boundary(x))
+
+        k, reps, seed = 19, 96, 2
+        config = CrossingConfig(epsilon=1 / 1024)
+        scores = {s.pair_index: s for s in dbc_local_batch(f, ds, reps=reps, k=k,
+                                                           config=config, seed=seed)}
+        failed = {}
+        for i in range(reps):
+            try:
+                aset = local_adversarial_set(f, ds, sample_pair(ds, i, seed), k, config)
+            except FailureRateExceeded:
+                assert i not in scores
+                continue
+            assert scores[i].value == normalized_entropy(eigen_spectrum(aset)).value
+            positions = [fl.pair_index for fl in aset.failures]
+            assert positions == sorted(positions) and len(positions) <= 2
+            assert sorted(positions + [c.pair_index for c in aset.provenance]) == \
+                list(range(k + 1))
+            for rec in aset.provenance:
+                c = find_crossing(f, ds.features[rec.index_a], ds.features[rec.index_b],
+                                  config)
+                assert (c.lam, c.f_value) == (rec.lam, rec.f_value)
+            for fl in aset.failures:
+                ia, ib = ((fl.index_a, fl.index_b) if f(ds.features[fl.index_a])[0] < 0.5
+                          else (fl.index_b, fl.index_a))
+                with pytest.raises(CrossingError):
+                    find_crossing(f, ds.features[ia], ds.features[ib], config)
+                at_crossing = "lam=" in fl.reason
+                failed.setdefault((fl.index_a, fl.index_b, at_crossing), set()).add(i // 32)
+        assert 0 < reps - len(scores) <= reps // 10
+        for at_crossing in (False, True):
+            assert any(len(b) > 1 for (_, _, kind), b in failed.items() if kind == at_crossing)
 
 
 class TestScoreFiles:
