@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassPair, DatasetError, LabeledDataset, k_nearest, sample_pairs
+from .dataset import ClassPair, DatasetError, LabeledDataset, _pair_rows, k_nearest
 from .model import MlpModel, _first_layer_tail
 
 DEFAULT_EPSILON = 1.0 / 256.0
@@ -485,12 +485,12 @@ def global_adversarial_set(f, dataset: LabeledDataset, reps: int,
     """
     if reps < 2:
         raise ValueError(f"reps must be >= 2 for a global set, got {reps}")
-    ends = np.array([(p.index_a, p.index_b) for p in sample_pairs(dataset, reps, seed)])
-    return _one_set(f, dataset, ends, "global", config)
+    return _one_set(f, dataset, _pair_rows(dataset, reps, seed), "global", config)
 
 
-def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
-    """Segment ends of each pair's local set, shape (pairs, k+1, 2).
+def _local_ends(dataset: LabeledDataset, pairs: np.ndarray, k: int, expand_around: str):
+    """Segment ends of the local set of each pair of rows (class 0,
+    class 1) in the (m, 2) array ``pairs``, shape (m, k+1, 2).
 
     Each row pairs the anchor with one of the k+1 nearest same-class
     neighbors of the expanded endpoint (the hub), the hub itself first
@@ -508,15 +508,14 @@ def _local_ends(dataset: LabeledDataset, pairs, k: int, expand_around: str):
             f"k={k} needs k+1={k + 1} class-{hub_class} rows per local set, which "
             f"exceeds the class-{hub_class} population of {population}"
         )
-    indices = np.array([(pair.index_a, pair.index_b) for pair in pairs], dtype=np.int64)
-    anchors, hubs = indices.T if expand_around == "b" else indices.T[::-1]
+    anchors, hubs = pairs.T if expand_around == "b" else pairs.T[::-1]
     distinct, inverse = np.unique(hubs, return_inverse=True)
     rows = np.array(k_nearest(dataset, dataset.features[distinct], class_filter=hub_class,
                               k=k + 1), dtype=np.int64)
     # a stable sort on "is not the hub" moves the hub to the front
     rows = np.take_along_axis(
         rows, np.argsort(rows != distinct[:, None], axis=1, kind="stable"), axis=1)
-    ends = np.empty((len(indices), k + 1, 2), dtype=np.int64)
+    ends = np.empty((len(pairs), k + 1, 2), dtype=np.int64)
     ends[..., 0] = anchors[:, None]
     ends[..., 1] = rows[inverse]
     return ends
@@ -533,8 +532,8 @@ def local_adversarial_set(f, dataset: LabeledDataset, pair: ClassPair, k: int,
     sample one segment of the boundary. Failures carry the neighbor's
     rank as their ``pair_index``.
     """
-    return _one_set(f, dataset, _local_ends(dataset, [pair], k, expand_around)[0], "local",
-                    config)
+    ends = _local_ends(dataset, np.array([[pair.index_a, pair.index_b]]), k, expand_around)
+    return _one_set(f, dataset, ends[0], "local", config)
 
 
 def save_adversarial_set(aset: AdversarialSet, path) -> Path:

@@ -85,6 +85,16 @@ def _parse_epsilon(text: str) -> float:
     return value
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_arch(text: str) -> list[int]:
     try:
         sizes = [int(part) for part in text.split(",")]
@@ -324,7 +334,7 @@ def build_parser() -> _Parser:
     model.add_argument("--model", required=True)
     model.add_argument("--epsilon", default="1/256")
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_parse_seed, default=0)
     run.add_argument("--out", required=True)
 
     p = sub.add_parser("blobs", parents=[run], help="generate a two-cluster synthetic dataset")

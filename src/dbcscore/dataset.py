@@ -7,6 +7,14 @@ functions of their inputs; pair ``i`` is drawn from the sub-seed
 ``(seed, i)`` so results do not depend on evaluation order or on the
 degree of parallelism.
 
+Pair ``i`` is one position in each class, ``integers(n0)`` and then
+``integers(n1)`` of a PCG64 generator seeded by ``SeedSequence([seed,
+i])``. ``_draw_positions`` computes that for every pair of a call at once,
+in uint32 and uint64 array arithmetic: no generator object is built per
+pair. The pair sequence is the program's own; today it equals numpy 2.x's
+``default_rng([seed, i]).integers``, which the tests check, while a fixed
+table of draws in the tests pins it should numpy's ``integers`` change.
+
 ``k_nearest`` answers one query vector or a (q, d) matrix of queries.
 It finds candidates with one Gram-form product per chunk of queries and
 ranks only the rows within a proven rounding margin of each query's k-th
@@ -334,30 +342,215 @@ def sample_pair(dataset: LabeledDataset, pair_index: int, seed: int) -> ClassPai
     """Draw the ``pair_index``-th cross-class pair of the (seed) sequence.
 
     The pair comes from the sub-seed ``(seed, pair_index)`` alone, so any
-    pair can be reproduced without generating its predecessors.
+    pair can be reproduced without generating its predecessors. A seed or
+    pair index that is not a non-negative integer raises DatasetError.
     """
-    return _draw_pair(dataset, dataset.class_indices(0), dataset.class_indices(1),
-                      pair_index, seed)
+    if not isinstance(pair_index, (int, np.integer)) or not 0 <= pair_index < 2 ** 64:
+        raise DatasetError(f"pair index must be an integer in [0, 2^64), got {pair_index!r}")
+    return _class_pairs(dataset, _pair_rows(dataset, 1, seed, first=pair_index))[0]
 
 
 def sample_pairs(dataset: LabeledDataset, reps: int, seed: int) -> list[ClassPair]:
     """Draw ``reps`` cross-class pairs uniformly at random with replacement.
 
-    Pair ``i`` is generated from the sub-seed ``(seed, i)``, so the sequence
-    is identical whether pairs are consumed serially or split across
-    workers.
+    Pair ``i`` depends on ``(seed, i)`` alone, so the sequence is identical
+    whether pairs are consumed serially or split across workers. It is one
+    row of each class, at positions ``integers(n0)`` and then
+    ``integers(n1)`` (n0, n1 the class sizes, rows in dataset order) of a
+    PCG64 generator seeded by ``SeedSequence([seed, i])``, which
+    ``_draw_positions`` computes for every pair at once. The sequence is
+    the program's own: today it equals numpy 2.x's ``default_rng([seed,
+    i]).integers``, but numpy does not promise to keep ``integers`` fixed,
+    and this draw would not follow a change. A negative or non-integer seed
+    raises DatasetError, and so does a class of more than 2^32 rows.
     """
+    return _class_pairs(dataset, _pair_rows(dataset, reps, seed))
+
+
+def _class_pairs(dataset, rows) -> list[ClassPair]:
+    return [ClassPair(a=dataset.features[ia], b=dataset.features[ib], index_a=ia, index_b=ib)
+            for ia, ib in rows.tolist()]
+
+
+def _pair_rows(dataset: LabeledDataset, reps: int, seed: int, first: int = 0) -> np.ndarray:
+    """Dataset rows (class 0, class 1) of pairs ``first`` to ``first + reps
+    - 1`` of the (seed) sequence, shape (reps, 2), int64."""
     if reps < 1:
         raise DatasetError(f"reps must be >= 1, got {reps}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DatasetError(f"seed must be a non-negative integer, got {seed!r}")
     idx0, idx1 = dataset.class_indices(0), dataset.class_indices(1)
-    return [_draw_pair(dataset, idx0, idx1, i, seed) for i in range(reps)]
+    indices = np.arange(reps, dtype=np.uint64) + np.uint64(first)
+    positions = _draw_positions(seed, indices, idx0.size, idx1.size)
+    return np.stack([idx0[positions[:, 0]], idx1[positions[:, 1]]], axis=1)
 
 
-def _draw_pair(dataset, idx0, idx1, pair_index, seed) -> ClassPair:
-    """Pair ``pair_index`` of the (seed) sequence, given the row indices of
-    class 0 and class 1."""
-    rng = np.random.default_rng([seed, pair_index])
-    ia = int(idx0[rng.integers(idx0.size)])
-    ib = int(idx1[rng.integers(idx1.size)])
-    return ClassPair(a=dataset.features[ia], b=dataset.features[ib],
-                     index_a=ia, index_b=ib)
+# pairs that _draw_positions draws at once: its working arrays, about 27
+# words a pair, stay below 4 MB however many pairs are drawn
+PAIR_CHUNK = 2 ** 14
+_MASK32 = 0xFFFFFFFF
+# SeedSequence's hash constants
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier, high and low 64-bit halves
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _draw_positions(seed: int, indices: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """Within-class positions (class 0, class 1) of pairs ``indices`` of the
+    (seed) sequence, for classes of n0 and n1 rows: shape (len(indices), 2),
+    int64.
+
+    Pair i is ``integers(n0)`` and then ``integers(n1)`` of numpy's PCG64
+    generator seeded by ``SeedSequence([seed, i])``, computed for all pairs
+    at once in uint32 and uint64 array arithmetic:
+
+    - SeedSequence hashes the entropy words, the little-endian uint32
+      words of ``seed`` and then of ``i`` (0 is one word), into a pool of
+      four words, and hashes the pool out into four uint64 words;
+    - PCG64 (O'Neill 2014) sets its 128-bit increment to (w2 w3) << 1 | 1
+      and its state to one LCG step from 0, plus (w0 w1), stepped once
+      more; each 64-bit output steps the state and applies XSL-RR. The
+      128-bit product is formed from 32-bit limbs;
+    - ``integers(n)`` reads no output for n = 1. Otherwise it reads 32-bit
+      words, the low half of an output and then its high half, and keeps
+      the high 32 bits of word * n unless the low 32 bits fall below
+      2^32 mod n (Lemire 2019), in which case it reads the next word. The
+      class-1 draw continues the word stream the class-0 draw left.
+
+    A rejected draw continues its own stream, so pair i still depends on
+    (seed, i) alone; the rejection loop runs over the shrinking subset of
+    rejected pairs. Pairs are drawn PAIR_CHUNK at a time. ``seed`` must be
+    a non-negative integer and ``indices`` a uint64 array; a class of more
+    than 2^32 rows raises DatasetError.
+    """
+    for n in (n0, n1):
+        if not 1 <= n <= 2 ** 32:
+            raise DatasetError(f"pair draws need classes of 1 to 2^32 rows, got {n}")
+    positions = np.empty((len(indices), 2), dtype=np.int64)
+    for start in range(0, len(indices), PAIR_CHUNK):
+        chunk = indices[start:start + PAIR_CHUNK]
+        words = _WordStream(*_seed_state(seed, chunk))
+        for column, n in enumerate((n0, n1)):
+            # integers(1) reads no output
+            positions[start:start + len(chunk), column] = (
+                _bounded(words, n) if n > 1 else 0)
+    return positions
+
+
+def _seed_state(seed: int, indices: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for each i,
+    as four uint64 arrays."""
+    seed = int(seed)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    state = np.empty((4, len(indices)), dtype=np.uint64)
+    # an index of two words lengthens the entropy, which changes its mixing
+    wide = indices > _MASK32
+    for group, index_words in ((~wide, 1), (wide, 2)):
+        if not group.any():
+            continue
+        index = indices[group]
+        entropy = [np.full(index.size, word, dtype=np.uint32) for word in seed_words]
+        entropy += [(index >> np.uint64(32 * w) & _MASK32).astype(np.uint32)
+                    for w in range(index_words)]
+        pool = _mix_entropy(entropy)
+        hashes = _hash_constants(_INIT_B, _MULT_B)
+        halves = [_hashmix(pool[j % 4], hashes).astype(np.uint64) for j in range(8)]
+        for w in range(4):
+            state[w, group] = halves[2 * w] | halves[2 * w + 1] << np.uint64(32)
+    return list(state)
+
+
+def _hash_constants(value: int, multiplier: int):
+    """The (xor, multiply) constants of SeedSequence's successive hashes."""
+    while True:
+        following = value * multiplier & _MASK32
+        yield value, following
+        value = following
+
+
+def _hashmix(value: np.ndarray, hashes) -> np.ndarray:
+    xor, multiply = next(hashes)
+    value = (value ^ xor) * multiply
+    return value ^ value >> 16
+
+
+def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's pool of four uint32 words from the entropy words."""
+    hashes = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [_hashmix(entropy[j] if j < len(entropy) else zero, hashes) for j in range(4)]
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ result >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], _hashmix(pool[src], hashes))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], _hashmix(word, hashes))
+    return pool
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
+    b_lo, b_hi = b & _MASK32, b >> 32
+    low, cross_a, cross_b = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
+    middle = (low >> np.uint64(32)) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return (a_hi * b_hi + (cross_a >> np.uint64(32)) + (cross_b >> np.uint64(32))
+            + (middle >> np.uint64(32)))
+
+
+class _WordStream:
+    """Per pair, the 32-bit words a seeded PCG64 hands to ``integers``."""
+
+    def __init__(self, init_hi, init_lo, seq_hi, seq_lo):
+        one = np.uint64(1)
+        self.inc_hi = seq_hi << one | seq_lo >> np.uint64(63)
+        self.inc_lo = seq_lo << one | one
+        # state 0 stepped once is the increment; add the initial state
+        lo = self.inc_lo + init_lo
+        hi = self.inc_hi + init_hi + (lo < init_lo)
+        self.hi, self.lo = self._step(hi, lo, self.inc_hi, self.inc_lo)
+        self.output = np.zeros_like(lo)
+        # the output's high half is still to be read
+        self.buffered = np.zeros(lo.shape, dtype=bool)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        """state * multiplier + increment, mod 2^128."""
+        new_lo = lo * _PCG_MULT_LO + inc_lo
+        new_hi = (hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi(lo, _PCG_MULT_LO)
+                  + inc_hi + (new_lo < inc_lo))
+        return new_hi, new_lo
+
+    def next(self, pairs: np.ndarray) -> np.ndarray:
+        """The next word of each stream in ``pairs``, as uint64."""
+        fresh = pairs[~self.buffered[pairs]]
+        hi, lo = self._step(self.hi[fresh], self.lo[fresh], self.inc_hi[fresh],
+                            self.inc_lo[fresh])
+        self.hi[fresh], self.lo[fresh] = hi, lo
+        # XSL-RR: the halves' xor, rotated right by the state's top 6 bits
+        folded, rotation = hi ^ lo, hi >> np.uint64(58)
+        self.output[fresh] = folded >> rotation | folded << (np.uint64(64) - rotation & np.uint64(63))
+        buffered = self.buffered[pairs]
+        output = self.output[pairs]
+        self.buffered[pairs] = ~buffered
+        return np.where(buffered, output >> np.uint64(32), output & _MASK32)
+
+
+def _bounded(words: _WordStream, n: int) -> np.ndarray:
+    """``integers(n)`` for 2 <= n <= 2^32, one draw per stream: Lemire's
+    multiply, with rejected streams redrawn from their next word."""
+    threshold = (2 ** 32 - n) % n
+    drawn = np.empty(len(words.lo), dtype=np.int64)
+    pending = np.arange(len(words.lo))
+    while pending.size:
+        product = words.next(pending) * np.uint64(n)
+        drawn[pending] = product >> np.uint64(32)
+        pending = pending[(product & _MASK32) < threshold]
+    return drawn

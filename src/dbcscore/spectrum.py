@@ -41,7 +41,7 @@ from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
                        CrossingConfig, FailureRateExceeded, _crossing_sets,
                        _evaluate, _local_ends, _plan, _Plan, _search,
                        global_adversarial_set)
-from .dataset import LabeledDataset, sample_pairs
+from .dataset import LabeledDataset, _pair_rows
 # dbcbench/tracing.py wraps these names here; the batch itself never calls them
 from .boundary import local_adversarial_set  # noqa: F401
 from .dataset import sample_pair  # noqa: F401
@@ -336,7 +336,7 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ends = _local_ends(dataset, sample_pairs(dataset, reps, seed), k, expand_around)
+    ends = _local_ends(dataset, _pair_rows(dataset, reps, seed), k, expand_around)
     f_rows, search = _evaluate(f, dataset.features)
     # larger blocks ran no faster; the row budget keeps a wide block's
     # buffers below the memory of a global set

@@ -233,6 +233,24 @@ class TestScore:
         assert run(["plot2d", "--model", workspace["simple"], "--data", workspace["data"],
                     "--overlay-reps", 2, "--grid", 10, "--out", root / "o2.svg"]) == 0
 
+    def test_negative_seed_usage_error(self, workspace, capsys):
+        """A negative or non-integer --seed is a usage error naming the flag,
+        checked before any file is read (a missing file exits 2)."""
+        root = workspace["root"]
+        missing_data, missing_model = root / "missing.csv", root / "missing.json"
+        out = root / "seed.csv"
+        commands = (["blobs", "--per-class", 5, "--dim", 2],
+                    ["train", "--data", missing_data, "--arch", "2,1"],
+                    ["score", "--model", missing_model, "--data", missing_data, "--k", 2],
+                    ["plot2d", "--model", missing_model, "--data", missing_data])
+        for command in commands:
+            for seed in ("-1", "1.5"):
+                assert run([*command, "--seed", seed, "--out", out]) == 1
+                err = capsys.readouterr().err
+                assert "argument --seed: must be a non-negative integer" in err, err
+        assert not out.exists()
+        assert run(["blobs", "--per-class", 5, "--dim", 2, "--seed", 0, "--out", out]) == 0
+
 
 @pytest.fixture(scope="module")
 def score_files(workspace):

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbcscore import (ClassPair, DatasetError, LabeledDataset, k_nearest, load_csv,
+from dbcscore import (DatasetError, LabeledDataset, k_nearest, load_csv,
                       make_blobs, minmax_scale, sample_pair, sample_pairs,
                       save_csv)
-from dbcscore.boundary import _local_ends
+from dbcscore import dataset as dataset_module
+from dbcscore import spectrum
+from dbcscore.boundary import CrossingConfig, _local_ends, global_adversarial_set
+from dbcscore.dataset import _draw_positions, _pair_rows
+from dbcscore.spectrum import dbc_local_batch
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -243,15 +247,14 @@ class TestBatchedKNearest:
         ds = LabeledDataset(features, labels)
         assert_matches_oracle(ds, features, 1, 6)
         hubs = [3, 0, 4, 15, 8, 17, 11, 3]
-        pairs = [ClassPair(a=features[20], b=features[h], index_a=20, index_b=h)
-                 for h in hubs]
+        pairs = np.array([(20, h) for h in hubs])
         for k in (2, 4, 6):
             ends = _local_ends(ds, pairs, k, "b")
-            for pair, row in zip(pairs, ends):
-                rows = exact_neighbors(ds, features[pair.index_b], 1, k + 1)
-                if pair.index_b in rows:
-                    rows.remove(pair.index_b)
-                    rows.insert(0, pair.index_b)
+            for hub, row in zip(hubs, ends):
+                rows = exact_neighbors(ds, features[hub], 1, k + 1)
+                if hub in rows:
+                    rows.remove(hub)
+                    rows.insert(0, hub)
                 assert row[:, 0].tolist() == [20] * (k + 1)
                 assert row[:, 1].tolist() == rows
         assert _local_ends(ds, pairs, 2, "b")[0, :, 1].tolist() == [0, 1, 2]
@@ -338,13 +341,14 @@ class TestSamplePairs:
 
     def test_batch_draws_equal_lone_draws(self):
         """sample_pairs looks each class's rows up once per call; every pair
-        it returns is still the pair sample_pair draws alone, also when the
-        classes interleave."""
+        it returns is still the pair sample_pair draws alone, and the
+        oracle's, also when the classes interleave."""
         rng = np.random.default_rng(3)
         ds = LabeledDataset(rng.normal(size=(50, 3)), rng.permutation(np.arange(50) % 2))
+        want = oracle_rows(ds, 21, 60).tolist()
         for i, pair in enumerate(sample_pairs(ds, reps=60, seed=21)):
             lone = sample_pair(ds, i, seed=21)
-            assert (pair.index_a, pair.index_b) == (lone.index_a, lone.index_b)
+            assert [pair.index_a, pair.index_b] == [lone.index_a, lone.index_b] == want[i]
             np.testing.assert_array_equal(pair.a, lone.a)
             np.testing.assert_array_equal(pair.b, lone.b)
 
@@ -352,6 +356,157 @@ class TestSamplePairs:
         a = sample_pairs(blobs_2d, reps=100, seed=4)
         b = sample_pairs(blobs_2d, reps=100, seed=4)
         assert [(p.index_a, p.index_b) for p in a] == [(p.index_a, p.index_b) for p in b]
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.5, 2.0, "3", None])
+    def test_bad_seed_raises(self, blobs_2d, seed):
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer"):
+            sample_pairs(blobs_2d, reps=3, seed=seed)
+        with pytest.raises(DatasetError, match="seed must be a non-negative integer"):
+            sample_pair(blobs_2d, 0, seed=seed)
+
+    @pytest.mark.parametrize("pair_index", [-1, 2 ** 64, 0.0, "0"])
+    def test_bad_pair_index_raises(self, blobs_2d, pair_index):
+        with pytest.raises(DatasetError, match="pair index must be an integer"):
+            sample_pair(blobs_2d, pair_index, seed=0)
+
+    def test_numpy_integers_accepted(self, blobs_2d):
+        want = [(p.index_a, p.index_b) for p in sample_pairs(blobs_2d, reps=5, seed=6)]
+        for seed in (np.int64(6), np.uint64(6), np.int32(6)):
+            got = sample_pairs(blobs_2d, reps=5, seed=seed)
+            assert [(p.index_a, p.index_b) for p in got] == want
+        for i in (np.int64(4), np.uint64(4), np.int8(4)):
+            lone = sample_pair(blobs_2d, i, seed=np.uint32(6))
+            assert (lone.index_a, lone.index_b) == want[4]
+
+
+def oracle_positions(seed, indices, n0, n1):
+    """Per-pair numpy generators: the sequence the program's draw follows."""
+    draws = []
+    for i in indices:
+        rng = np.random.default_rng([seed, int(i)])
+        draws.append((int(rng.integers(n0)), int(rng.integers(n1))))
+    return np.array(draws, dtype=np.int64).reshape(-1, 2)
+
+
+def oracle_rows(ds, seed, reps):
+    """Dataset rows of the oracle's pairs; positions count each class's
+    rows in dataset order."""
+    idx0, idx1 = np.flatnonzero(ds.labels == 0), np.flatnonzero(ds.labels == 1)
+    positions = oracle_positions(seed, range(reps), idx0.size, idx1.size)
+    return np.stack([idx0[positions[:, 0]], idx1[positions[:, 1]]], axis=1)
+
+
+# pair indices of one 32-bit word, across the step to two words, and of the
+# top of the uint64 range
+ORACLE_INDICES = np.array(
+    [*range(300), *range(2 ** 32 - 5, 2 ** 32 + 60), 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1],
+    dtype=np.uint64)
+
+
+class TestPairDraw:
+    """_draw_positions against per-pair numpy generators, on class sizes
+    alone, so classes of billions of rows cost nothing to build."""
+
+    @pytest.mark.parametrize("seed, n0, n1", [
+        (0, 200, 200),
+        (7, 1, 5000),         # one-row class 0: class 1 reads a fresh low half
+        (3, 5000, 1),         # one-row class 1 reads nothing
+        (1, 1, 1),
+        (4, 2 ** 31 + 11, 3 * 2 ** 30),       # rejected about 1/2 and 1/4 of the time
+        (5, 2 ** 32, 2 ** 32 - 1),
+        (2 ** 32, 17, 2 ** 31 + 3),           # a seed of two words
+        (2 ** 40 + 3, 2 ** 31 + 11, 9),
+        (2 ** 64, 33, 77),                    # three words: SeedSequence's extra mixing
+        (2 ** 100 + 17, 3 * 2 ** 30, 6),
+    ])
+    def test_matches_numpy_generators(self, seed, n0, n1):
+        got = _draw_positions(seed, ORACLE_INDICES, n0, n1)
+        np.testing.assert_array_equal(got, oracle_positions(seed, ORACLE_INDICES, n0, n1))
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        indices = np.arange(50, dtype=np.uint64)
+        whole = _draw_positions(9, indices, 300, 2 ** 31 + 11)
+        monkeypatch.setattr(dataset_module, "PAIR_CHUNK", 7)
+        np.testing.assert_array_equal(_draw_positions(9, indices, 300, 2 ** 31 + 11), whole)
+        np.testing.assert_array_equal(whole, oracle_positions(9, indices, 300, 2 ** 31 + 11))
+
+    def test_memory_grows_by_the_answer_only(self, blobs_2d):
+        """Past one chunk, a draw's peak grows only by its int64 index,
+        position and row arrays, well below a ClassPair list's."""
+        chunk = dataset_module.PAIR_CHUNK
+        peaks = []
+        for reps in (chunk, 8 * chunk):
+            tracemalloc.start()
+            try:
+                _pair_rows(blobs_2d, reps, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 7 * chunk * 64, peaks
+
+    @pytest.mark.parametrize("n0, n1", [(0, 5), (5, 2 ** 32 + 1)])
+    def test_class_size_out_of_range_raises(self, n0, n1):
+        with pytest.raises(DatasetError, match="classes of 1 to 2"):
+            _draw_positions(0, np.arange(3, dtype=np.uint64), n0, n1)
+
+    # (seed, pair index, class-0 size, class-1 size) -> (position in class
+    # 0, position in class 1). numpy does not promise to keep
+    # Generator.integers fixed; if it changes, the oracle tests above fail
+    # and this table shows whether the program's own pairs moved.
+    GOLDEN = [
+        ((0, 0, 200, 200), (170, 127)),
+        ((0, 1999, 200, 200), (108, 109)),
+        ((1, 7, 400, 400), (311, 143)),
+        ((11, 12345, 1, 1000), (0, 19)),
+        ((3, 40, 5000, 1), (4039, 0)),
+        ((9, 3, 1, 1), (0, 0)),
+        ((7, 2 ** 32 - 1, 150, 250), (87, 180)),
+        ((7, 2 ** 32, 150, 250), (109, 208)),
+        ((5, 2 ** 33 + 1, 1000, 1), (413, 0)),
+        ((2 ** 32, 5, 1000, 30), (827, 11)),
+        ((2 ** 64 + 5, 9, 33, 77), (25, 14)),
+        ((2 ** 100 + 17, 2 ** 32 + 3, 3 * 2 ** 30, 6), (875003409, 5)),
+        ((4, 17, 2 ** 31 + 11, 3 * 2 ** 30), (989436314, 2316860374)),
+        ((2 ** 40 + 3, 2 ** 40, 2 ** 32 - 1, 2 ** 31 + 11), (3228716520, 1396791115)),
+    ]
+
+    @pytest.mark.parametrize("case, want", GOLDEN)
+    def test_golden_draws(self, case, want):
+        seed, i, n0, n1 = case
+        got = _draw_positions(seed, np.array([i], dtype=np.uint64), n0, n1)
+        assert tuple(got[0].tolist()) == want
+
+    def test_global_set_ends_are_the_oracle_pairs(self, blobs_2d, linear_model_2d):
+        reps, seed = 150, 12
+        aset = global_adversarial_set(linear_model_2d, blobs_2d, reps,
+                                      CrossingConfig(epsilon=2.0 ** -10), seed=seed)
+        want = oracle_rows(blobs_2d, seed, reps)
+        assert not aset.failures
+        got = [(c.pair_index, sorted((c.index_a, c.index_b))) for c in aset.provenance]
+        assert got == [(i, sorted(row)) for i, row in enumerate(want.tolist())]
+
+    @pytest.mark.parametrize("expand_around", ["a", "b"])
+    def test_local_batch_ends_are_the_oracle_pairs(self, blobs_2d, linear_model_2d,
+                                                   monkeypatch, expand_around):
+        """dbc_local_batch hands _local_ends the oracle's rows, and each
+        local set's first segment is its pair, anchor first."""
+        reps, seed = 40, 5
+        seen = []
+
+        def recording(dataset, pairs, k, around):
+            ends = _local_ends(dataset, pairs, k, around)
+            seen.append((pairs, ends))
+            return ends
+
+        monkeypatch.setattr(spectrum, "_local_ends", recording)
+        dbc_local_batch(linear_model_2d, blobs_2d, reps, 4, CrossingConfig(epsilon=2.0 ** -8),
+                        seed=seed, expand_around=expand_around)
+        (pairs, ends), = seen
+        want = oracle_rows(blobs_2d, seed, reps)
+        np.testing.assert_array_equal(pairs, want)
+        first = want if expand_around == "b" else want[:, ::-1]
+        np.testing.assert_array_equal(ends[:, 0], first)
+
 
 
 class TestScalingAndInvariants:
