@@ -44,8 +44,7 @@ from .model import MlpModel, _first_layer_tail
 
 DEFAULT_EPSILON = 1.0 / 256.0
 MAX_FAILURE_RATE = 0.10
-# rows x dimension that one f call of a batch may receive: it sizes the
-# linear scan's chunks and a local batch's blocks
+# rows x dimension that one f call of a local batch's block may receive
 ROW_BUDGET = 2 ** 19
 
 
@@ -59,22 +58,17 @@ class FailureRateExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class CrossingConfig:
-    """Precision and method for locating boundary crossings.
+    """Precision for locating boundary crossings by bisection.
 
-    ``epsilon`` bounds the width of the interpolation-parameter bracket.
-    ``linear_scan`` walks lam = 0, eps, 2*eps, ... and keeps the lam whose
-    f-value is closest to 0.5; ``bisection`` halves a straddling bracket in
-    O(log(1/eps)) evaluations.
+    ``epsilon`` bounds the width of the interpolation-parameter bracket
+    that bisection halves down to, in ceil(log2(1/eps)) evaluations.
     """
 
     epsilon: float = DEFAULT_EPSILON
-    method: str = "bisection"
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.method not in ("linear_scan", "bisection"):
-            raise ValueError(f"method must be 'linear_scan' or 'bisection', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +76,8 @@ class Crossing:
     """One located boundary point with its bracket certificate.
 
     ``point = lam*a + (1-lam)*b``. The f-values at the ends of the bracket
-    [lam_lo, lam_hi] straddle 0.5. Bisection's bracket contains lam and is
-    at most epsilon wide. The linear scan's bracket is the sign change of
-    its grid nearest to lam, or [last grid point, 1] when the grid has
-    none; it holds lam whenever f is monotone along the segment.
+    [lam_lo, lam_hi] straddle 0.5; the bracket contains lam and is at most
+    epsilon wide.
     """
 
     point: np.ndarray
@@ -185,16 +177,12 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
     Callers pass the rows and f of ``_evaluate``, so A and B may be
     an MLP's first-layer products rather than input rows.
 
-    Bisection's lam is the last midpoint it evaluated; the final bracket
-    [lam_lo, lam_hi] contains it, straddles 0.5 and has width <= epsilon,
-    so the search costs ceil(log2(1/epsilon)) f-rows per segment. The
-    linear scan costs floor(1/epsilon) + 1 f-rows per segment.
+    The search is a bisection: lam is the last midpoint it evaluated; the
+    final bracket [lam_lo, lam_hi] contains it, straddles 0.5 and has
+    width <= epsilon, so it costs ceil(log2(1/epsilon)) f-rows per segment.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if config.method == "linear_scan":
-        return _linear_scan_kernel(f, A, B, config.epsilon)
-
     m = A.shape[0]
     lo = np.zeros(m)   # lam=0 is b: f >= 0.5
     hi = np.ones(m)    # lam=1 is a: f < 0.5
@@ -237,58 +225,17 @@ def _crossing_kernel(f, A, B, config: CrossingConfig):
     return lam, fval, lo, hi
 
 
-def _linear_scan_kernel(f, A, B, epsilon: float):
-    """Evaluate the grid lam = 0, eps, 2*eps, ... (capped at 1) on every
-    segment: lam is the first grid point of least |f - 0.5| (a NaN f wins,
-    so it surfaces as a failure), the bracket the grid's sign change
-    nearest to it, the lower on a tie, else [last grid point, 1]. No f
-    call gets more than max(1, ROW_BUDGET // d) rows: whole grids of
-    several segments, or pieces of one segment's grid. Each chunk of
-    segments is reduced before the next, and only the f-values of its
-    grids are kept, so memory grows neither with the segments nor with d
-    times the grid size.
-    """
-    grid = np.minimum(epsilon * np.arange(math.floor(1.0 / epsilon) + 1), 1.0)
-    m, d = A.shape
-    size = grid.size
-    chunk = max(1, ROW_BUDGET // (size * d))
-    piece = min(size, max(1, ROW_BUDGET // d))
-    lam, fval, lam_lo, lam_hi = (np.empty(m) for _ in range(4))
-    steps = np.arange(size - 1)
-    for start in range(0, m, chunk):
-        part = slice(start, start + chunk)
-        a, b = A[part, None], B[part, None]
-        fv = np.empty((len(a), size))
-        for j in range(0, size, piece):
-            lams = grid[j:j + piece]
-            # (segments, grid points, d), the bits of each segment's grid alone;
-            # overflowed +-inf ends give NaN rows, as in the bisection
-            with np.errstate(over="ignore", invalid="ignore"):
-                points = lams[:, None] * a + (1.0 - lams)[:, None] * b
-            fv[:, j:j + piece] = _f_values(f, points.reshape(-1, d)).reshape(len(a), -1)
-        g = fv - 0.5
-        best = np.argmin(np.abs(g), axis=1)
-        lam[part] = grid[best]
-        fval[part] = fv[np.arange(len(fv)), best]
-        straddle = g[:, :-1] * g[:, 1:] <= 0.0
-        j = np.argmin(np.where(straddle, np.abs(steps - best[:, None]), size), axis=1)
-        found = straddle.any(axis=1)
-        lam_lo[part] = np.where(found, grid[j], grid[-1])
-        lam_hi[part] = np.where(found, grid[j + 1], 1.0)
-    return lam, fval, lam_lo, lam_hi
-
-
 def find_crossing(f, a, b, config: CrossingConfig = CrossingConfig()) -> Crossing:
     """Locate the boundary crossing on the segment between a and b.
 
     Requires f(a) < 0.5 <= f(b) and a finite f at the located point;
     violations raise CrossingError rather than guessing. Evaluates f once
-    on both ends, then runs the same kernel as a batch of segments, in
-    the same search space (an MLP with h1 < d in its first-layer space),
-    so the result equals that segment's in any batch wherever f's rows
-    keep their bits across batch sizes. Returns the crossing point, which
-    lies between a and b, its interpolation parameter and the bracket
-    certificate.
+    on both ends, then bisects with the same kernel as a batch of
+    segments, in the same search space (an MLP with h1 < d in its
+    first-layer space), so the result equals that segment's in any batch
+    wherever f's rows keep their bits across batch sizes. Returns the
+    crossing point, which lies between a and b, its interpolation
+    parameter and the bracket certificate.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

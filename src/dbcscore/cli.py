@@ -187,8 +187,11 @@ def cmd_score(args) -> int:
     workers = args.workers
     if workers is None:
         text = os.environ.get("DBC_WORKERS")
+        # the CPUs this process may run on; sched_getaffinity is Linux-only
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         try:
-            workers = len(os.sched_getaffinity(0)) if text is None else int(text)
+            workers = cpus if text is None else int(text)
         except ValueError:
             raise UsageError(f"$DBC_WORKERS must be an integer, got {text!r}") from None
     if workers < 1:
@@ -197,13 +200,14 @@ def cmd_score(args) -> int:
     dataset, data_hash = _load_dataset(args)
     model, model_hash = _load_model(args, dataset.dimension)
     reps = args.reps if args.reps is not None else 5 * dataset.count
-    config = CrossingConfig(epsilon=epsilon, method=args.method.replace("-", "_"))
+    config = CrossingConfig(epsilon=epsilon)
     divisor_mode = args.divisor.replace("-", "_")
 
+    # "method" stays so that compare refuses a file scored by linear scan
     metadata = {
         "mode": args.mode, "k": args.k if args.mode == "local" else -1,
         "reps": reps, "seed": args.seed,
-        "epsilon": repr(config.epsilon), "method": config.method,
+        "epsilon": repr(config.epsilon), "method": "bisection",
         "center": "true" if args.center else "false",
         "divisor_mode": divisor_mode, "expand_around": args.expand_around,
         "scale": "true" if args.scale else "false",
@@ -363,7 +367,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--reps", type=int, default=None,
                    help="pair draws; defaults to 5x dataset size")
-    p.add_argument("--method", choices=("bisection", "linear-scan"), default="bisection")
     p.add_argument("--center", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--divisor", choices=("effective", "paper-n"), default="effective")
     p.add_argument("--expand-around", choices=("a", "b"), default="b")

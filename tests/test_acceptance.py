@@ -26,7 +26,7 @@ from dbcscore.stats import signed_rank_test
 from dbcscore import stats as stats_mod
 from dbcscore.cli import main as cli_main
 
-from tests.test_boundary import sigmoid_along_segment
+from tests.test_boundary import linear_scan_oracle, sigmoid_along_segment
 from tests.test_spectrum import charpoly_eigenvalues
 
 
@@ -92,9 +92,9 @@ def test_criterion_2_crossing_precision(record_criterion):
         lam_true = float(rng.uniform(0.05, 0.95))
         f = sigmoid_along_segment(a, b, lam_true, slope=-rng.uniform(3, 50))
         bis = find_crossing(f, a, b, CrossingConfig(epsilon=eps))
-        lin = find_crossing(f, a, b, CrossingConfig(epsilon=eps, method="linear_scan"))
+        lin, _, _, _ = linear_scan_oracle(f, a[None], b[None], eps)
         worst_err = max(worst_err, abs(bis.lam - lam_true))
-        worst_gap = max(worst_gap, abs(bis.lam - lin.lam))
+        worst_gap = max(worst_gap, abs(bis.lam - lin[0]))
     elapsed = time.time() - t0
     ok = worst_err <= eps and worst_gap <= 2 * eps and elapsed < 5.0
     record_criterion(2, ok, f"200 classifiers: worst |lam*-lam_true| {worst_err:.2e} "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,9 +38,11 @@ def sigmoid_along_segment(a, b, lam_true, slope=-12.0):
 
 
 def linear_scan_oracle(f, A, B, eps):
-    """The linear scan one segment at a time: every grid point of a
-    segment in one f call, the grid point closest to 0.5, and the
-    sign-change bracket nearest to it (the lower on a tie)."""
+    """The exhaustive linear scan, the oracle of the bisection, one
+    segment at a time: f on the grid lam = 0, eps, 2*eps, ... (capped at
+    1), the first grid point closest to 0.5, and the sign-change bracket
+    nearest to it (the lower on a tie), else [last grid point, 1].
+    Returns (lam, f_value, lam_lo, lam_hi) arrays, one entry a segment."""
     grid = np.minimum(eps * np.arange(math.floor(1.0 / eps) + 1), 1.0)
     out = np.empty((4, len(A)))
     for i in range(len(A)):
@@ -55,19 +58,6 @@ def linear_scan_oracle(f, A, B, eps):
             lo, hi = grid[-1], 1.0
         out[:, i] = grid[best], fv[best], lo, hi
     return tuple(out)
-
-
-def zigzag_segments(count, seed):
-    """Segments across the zigzag boundary, many crossing it several
-    times, oriented so that f(A) < 0.5 <= f(B)."""
-    f = make_zigzag_model()
-    rng = np.random.default_rng(seed)
-    P = rng.uniform([-4.0, -10.0], [4.0, 10.0], size=(count, 2))
-    Q = rng.uniform([-4.0, -10.0], [4.0, 10.0], size=(count, 2))
-    swap = (f(P) >= 0.5)[:, None]
-    A, B = np.where(swap, Q, P), np.where(swap, P, Q)
-    keep = (f(A) < 0.5) & (f(B) >= 0.5)
-    return f, A[keep], B[keep]
 
 
 class CountingClassifier:
@@ -86,7 +76,7 @@ class CountingClassifier:
 class TestFindCrossing:
     def test_analytic_crossing_within_epsilon(self):
         rng = np.random.default_rng(0)
-        config = CrossingConfig(epsilon=1 / 256, method="bisection")
+        config = CrossingConfig(epsilon=1 / 256)
         for _ in range(200):
             dim = int(rng.integers(1, 8))
             a = rng.normal(size=dim)
@@ -105,7 +95,7 @@ class TestFindCrossing:
 
     def test_bisection_agrees_with_linear_scan_oracle(self):
         """The exhaustive linear scan is the oracle: on monotone-along-segment
-        classifiers the two methods land within 2*epsilon."""
+        classifiers bisection lands within 2*epsilon of it."""
         rng = np.random.default_rng(1)
         eps = 1 / 256
         for _ in range(200):
@@ -116,9 +106,16 @@ class TestFindCrossing:
                 b = a + rng.normal(size=dim)
             lam_true = float(rng.uniform(0.02, 0.98))
             f = sigmoid_along_segment(a, b, lam_true, slope=-rng.uniform(2, 60))
-            bis = find_crossing(f, a, b, CrossingConfig(epsilon=eps, method="bisection"))
-            lin = find_crossing(f, a, b, CrossingConfig(epsilon=eps, method="linear_scan"))
-            assert abs(bis.lam - lin.lam) <= 2 * eps
+            bis = find_crossing(f, a, b, CrossingConfig(epsilon=eps))
+            lin, _, _, _ = linear_scan_oracle(f, a[None], b[None], eps)
+            assert abs(bis.lam - lin[0]) <= 2 * eps
+
+    def test_config_holds_epsilon_only(self):
+        """Bisection is the only crossing search: CrossingConfig has no
+        method to choose."""
+        assert [field.name for field in dataclasses.fields(CrossingConfig)] == ["epsilon"]
+        with pytest.raises(TypeError):
+            CrossingConfig(method="bisection")
 
     def test_same_side_raises(self):
         f = lambda pts: np.full(np.atleast_2d(pts).shape[0], 0.9)
@@ -141,21 +138,19 @@ class TestFindCrossing:
         assert 0.0 <= crossing.lam <= 1.0
 
     def test_bracket_certificate(self):
-        """Re-evaluating f at the bracket ends verifies the certificate,
-        under both methods."""
+        """Re-evaluating f at the bracket ends verifies the certificate."""
         rng = np.random.default_rng(3)
         eps = 1 / 256
         for _ in range(50):
             a = rng.normal(size=4)
             b = a + rng.normal(size=4)
             f = sigmoid_along_segment(a, b, float(rng.uniform(0.1, 0.9)))
-            for method in ("bisection", "linear_scan"):
-                c = find_crossing(f, a, b, CrossingConfig(epsilon=eps, method=method))
-                assert c.lam_lo <= c.lam <= c.lam_hi
-                assert c.lam_hi - c.lam_lo <= eps
-                g_lo = float(f((c.lam_lo * a + (1 - c.lam_lo) * b)[None, :])[0]) - 0.5
-                g_hi = float(f((c.lam_hi * a + (1 - c.lam_hi) * b)[None, :])[0]) - 0.5
-                assert g_lo * g_hi <= 0.0
+            c = find_crossing(f, a, b, CrossingConfig(epsilon=eps))
+            assert c.lam_lo <= c.lam <= c.lam_hi
+            assert c.lam_hi - c.lam_lo <= eps
+            g_lo = float(f((c.lam_lo * a + (1 - c.lam_lo) * b)[None, :])[0]) - 0.5
+            g_hi = float(f((c.lam_hi * a + (1 - c.lam_hi) * b)[None, :])[0]) - 0.5
+            assert g_lo * g_hi <= 0.0
 
     def test_bisection_evaluation_budget(self):
         a, b = np.array([1.0]), np.array([0.0])
@@ -163,12 +158,6 @@ class TestFindCrossing:
             counter = CountingClassifier(sigmoid_along_segment(a, b, 0.41))
             find_crossing(counter, a, b, CrossingConfig(epsilon=eps))
             assert counter.rows <= math.ceil(math.log2(1 / eps)) + 2
-
-    def test_linear_scan_evaluation_count(self):
-        a, b = np.array([1.0]), np.array([0.0])
-        counter = CountingClassifier(sigmoid_along_segment(a, b, 0.41))
-        find_crossing(counter, a, b, CrossingConfig(epsilon=1 / 256, method="linear_scan"))
-        assert counter.rows == 2 + 257  # the two ends, then the grid
 
     def test_exact_hit_accepted_immediately(self):
         # crossing at lam = 0.5 exactly, hit on the first midpoint
@@ -211,39 +200,10 @@ class TestFindCrossing:
             c = find_crossing(f, A[i], B[i], config)
             assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
 
-    @pytest.mark.parametrize("eps", [1 / 256, 0.15, 1 / 3])
-    @pytest.mark.parametrize("budget", [7, 600, 5000, boundary.ROW_BUDGET])
-    def test_linear_scan_matches_per_segment_oracle(self, monkeypatch, eps, budget):
-        """The chunked scan equals the per-segment loop bit for bit in all
-        four outputs, with pieces of one segment's grid (3 rows at budget
-        7, the last piece shorter), chunks of one segment, of several, and
-        of the whole batch; the zigzag crosses 0.5 several times on most
-        segments, and 1/0.15 is not integral."""
-        monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
-        f, A, B = zigzag_segments(400, seed=5)
-        got = _crossing_kernel(f, A, B, CrossingConfig(epsilon=eps, method="linear_scan"))
-        want = linear_scan_oracle(f, A, B, eps)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-
-    def test_linear_scan_batch_equals_lone_find_crossing(self, monkeypatch):
-        monkeypatch.setattr(boundary, "ROW_BUDGET", 5000)
-        f, A, B = zigzag_segments(60, seed=6)
-        config = CrossingConfig(epsilon=0.15, method="linear_scan")
-        lam, fval, lo, hi = _crossing_kernel(f, A, B, config)
-        for i in range(len(A)):
-            c = find_crossing(f, A[i], B[i], config)
-            assert (lam[i], fval[i], lo[i], hi[i]) == (c.lam, c.f_value, c.lam_lo, c.lam_hi)
-
-    @pytest.mark.parametrize("budget", [256, boundary.ROW_BUDGET])
-    def test_linear_scan_rows_per_call_are_bounded(self, blobs_2d, linear_model_2d,
-                                                   monkeypatch, budget):
-        """No f call of a many-segment linear-scan global set gets more
-        than max(1, ROW_BUDGET // d) rows, however many segments the set
-        has, even where one segment's grid is larger (257 rows against
-        128 at budget 256). A pair drawn twice is one segment, searched
-        once."""
-        monkeypatch.setattr(boundary, "ROW_BUDGET", budget)
+    def test_pair_drawn_twice_is_searched_once(self, blobs_2d, linear_model_2d):
+        """A global set searches each distinct segment once: with 1200
+        reps some pairs are drawn twice, and the first kernel call gets
+        one row per distinct pair."""
         calls = []
 
         def f(points):
@@ -251,13 +211,12 @@ class TestFindCrossing:
             return linear_model_2d(points)
 
         reps = 1200
-        aset = global_adversarial_set(f, blobs_2d, reps=reps, seed=4,
-                                      config=CrossingConfig(method="linear_scan"))
+        aset = global_adversarial_set(f, blobs_2d, reps=reps, seed=4)
         assert aset.sample_count == reps
-        scan = calls[1:]  # the first call evaluates the dataset rows
         distinct = {(p.index_a, p.index_b) for p in sample_pairs(blobs_2d, reps, 4)}
-        assert len(distinct) < reps and sum(scan) == len(distinct) * 257
-        assert max(scan) <= max(1, budget // blobs_2d.dimension)
+        assert len(distinct) < reps
+        assert calls[0] == blobs_2d.count  # the dataset rows, then the search
+        assert calls[1] == len(distinct)
 
     def test_swapped_endpoints_land_nearby(self):
         """With a single crossing, swapping roles (and re-orienting) moves
@@ -423,23 +382,17 @@ def infinite_left_end(points):
 
 class TestNonFiniteDecisionValues:
     @pytest.mark.parametrize("f", [nan_band, infinite_left_end])
-    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
-    def test_find_crossing_raises(self, f, method):
+    def test_find_crossing_raises(self, f):
         with pytest.raises(CrossingError, match="non-finite"):
-            find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 1.0]),
-                          CrossingConfig(method=method))
+            find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 1.0]))
 
     def test_global_score_fails(self, blobs_2d):
-        for method in ("bisection", "linear_scan"):
-            with pytest.raises(FailureRateExceeded, match="non-finite"):
-                dbc_global(nan_band, blobs_2d, reps=400, seed=42,
-                           config=CrossingConfig(method=method))
+        with pytest.raises(FailureRateExceeded, match="non-finite"):
+            dbc_global(nan_band, blobs_2d, reps=400, seed=42)
 
     def test_local_batch_fails(self, blobs_2d):
-        for method in ("bisection", "linear_scan"):
-            with pytest.raises(FailureRateExceeded, match="non-finite"):
-                dbc_local_batch(nan_band, blobs_2d, reps=50, k=8,
-                                config=CrossingConfig(method=method))
+        with pytest.raises(FailureRateExceeded, match="non-finite"):
+            dbc_local_batch(nan_band, blobs_2d, reps=50, k=8)
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_endpoint_is_a_failure(self, blobs_2d, linear_model_2d, value):
@@ -457,8 +410,7 @@ class TestNonFiniteDecisionValues:
                    for x in aset.failures)
         assert np.isfinite([p.f_value for p in aset.provenance]).all()
 
-    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
-    def test_abort_counts_both_kinds_first_by_position(self, method):
+    def test_abort_counts_both_kinds_first_by_position(self):
         """The anchor (-5, 0) is crossed toward the ten class-1 rows
         (5, y), y = 0, 0.1, ..., 0.9, in that order. f is sigmoid(4 x0),
         but NaN at the three ends with y >= 0.7 and at (0, 0.1), the
@@ -476,7 +428,7 @@ class TestNonFiniteDecisionValues:
 
         pair = ClassPair(a=X[0], b=X[1], index_a=0, index_b=1)
         with pytest.raises(FailureRateExceeded) as info:
-            local_adversarial_set(f, ds, pair, k=9, config=CrossingConfig(method=method))
+            local_adversarial_set(f, ds, pair, k=9)
         message = str(info.value)
         assert message.startswith("4 of 10 crossings failed"), message
         assert "First failure: non-finite decision value at lam=0.5 (" in message
@@ -499,18 +451,15 @@ BROKEN_OUTPUTS = {
 
 class TestDecisionFunctionContract:
     @pytest.mark.parametrize("name", BROKEN_OUTPUTS)
-    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
-    def test_broken_output_raises(self, blobs_2d, name, method):
+    def test_broken_output_raises(self, blobs_2d, name):
         """A result not of shape (n,) or a finite value outside [0, 1]
         raises ValueError on a global set, a local batch and a lone
         crossing; NaN and +-inf stay recorded failures (the tests of
         TestNonFiniteDecisionValues)."""
         f, message = BROKEN_OUTPUTS[name]
-        config = CrossingConfig(method=method)
-        for build in (lambda: global_adversarial_set(f, blobs_2d, reps=20, config=config),
-                      lambda: dbc_local_batch(f, blobs_2d, reps=10, k=4, config=config),
-                      lambda: find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 0.0]),
-                                            config)):
+        for build in (lambda: global_adversarial_set(f, blobs_2d, reps=20),
+                      lambda: dbc_local_batch(f, blobs_2d, reps=10, k=4),
+                      lambda: find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 0.0]))):
             with pytest.raises(ValueError, match=message) as info:
                 build()
             assert info.type is ValueError
@@ -622,16 +571,13 @@ class TestFirstLayerSpace:
                  (lambda X: narrow(X), ds, 8, True), (make_zigzag_model(), blobs_2d, 2, True),
                  (linear_model_2d, blobs_2d, 2, True), (hand_net_2d(), blobs_2d, 1, False)]
         for searched, data, width, as_given in cases:
-            for method in ("bisection", "linear_scan"):
-                config = CrossingConfig(method=method)
-                seen.clear()
-                dbc_local_batch(searched, data, reps=6, k=3, config=config, seed=1)
-                aset = global_adversarial_set(searched, data, reps=6, config=config, seed=1)
-                local_adversarial_set(searched, data, sample_pair(data, 0, 1), 3, config)
-                rec = aset.provenance[0]
-                find_crossing(searched, data.features[rec.index_a],
-                              data.features[rec.index_b], config)
-                assert seen and set(seen) == {(width, as_given)}, (width, method)
+            seen.clear()
+            dbc_local_batch(searched, data, reps=6, k=3, seed=1)
+            aset = global_adversarial_set(searched, data, reps=6, seed=1)
+            local_adversarial_set(searched, data, sample_pair(data, 0, 1), 3)
+            rec = aset.provenance[0]
+            find_crossing(searched, data.features[rec.index_a], data.features[rec.index_b])
+            assert seen and set(seen) == {(width, as_given)}, width
 
     def test_tail_maps_non_finite_rows_to_nan(self):
         """The tail never raises or warns (warnings are errors here): a row
@@ -645,7 +591,7 @@ class TestFirstLayerSpace:
 
     def test_overflowing_first_layer_fails_without_crossings(self, monkeypatch):
         """First-layer products that overflow to +-inf at the ends leave
-        NaN at every interpolated point, for both methods: each segment is
+        NaN at every interpolated point: each segment is
         a CrossingFailure, never a crossing, nothing raises ModelError, and
         nothing but the model's own forward pass at the ends meets an
         overflow or an invalid operation."""
@@ -666,13 +612,12 @@ class TestFirstLayerSpace:
         pair = sample_pair(ds, 0, seed=1)
         fa, fb = net(ds.features[[pair.index_a, pair.index_b]])
         assert fa < 0.5 <= fb and np.isfinite([fa, fb]).all()
-        for method in ("bisection", "linear_scan"):
-            config = CrossingConfig(epsilon=1 / 256, method=method)
-            with np.errstate(over="raise", invalid="raise"):
-                with pytest.raises(CrossingError, match="non-finite decision value"):
-                    find_crossing(net, pair.a, pair.b, config)
-                for build in (lambda: global_adversarial_set(net, ds, reps=20, config=config),
-                              lambda: local_adversarial_set(net, ds, pair, 3, config),
-                              lambda: dbc_local_batch(net, ds, reps=10, k=3, config=config)):
-                    with pytest.raises(FailureRateExceeded, match="non-finite decision value"):
-                        build()
+        config = CrossingConfig(epsilon=1 / 256)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(CrossingError, match="non-finite decision value"):
+                find_crossing(net, pair.a, pair.b, config)
+            for build in (lambda: global_adversarial_set(net, ds, reps=20, config=config),
+                          lambda: local_adversarial_set(net, ds, pair, 3, config),
+                          lambda: dbc_local_batch(net, ds, reps=10, k=3, config=config)):
+                with pytest.raises(FailureRateExceeded, match="non-finite decision value"):
+                    build()

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,7 +143,9 @@ class TestScore:
     def test_workers_default_to_the_usable_cpus(self, workspace, monkeypatch):
         """Without --workers or $DBC_WORKERS, a local score asks for one
         worker per CPU the process may run on; the variable overrides that
-        count, and the flag overrides both."""
+        count, and the flag overrides both. Where os has no
+        sched_getaffinity (macOS, Windows) the default is os.cpu_count(),
+        or 1 when that is unknown."""
         asked = []
 
         def spy(*args, workers, **kwargs):
@@ -158,7 +162,24 @@ class TestScore:
         monkeypatch.setenv("DBC_WORKERS", "2")
         assert run(argv) == 0
         assert run(argv + ["--workers", 7]) == 0
-        assert asked == [3, 2, 7]
+        monkeypatch.delenv("DBC_WORKERS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for count in (6, None):
+            monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+            assert run(argv) == 0
+        assert asked == [3, 2, 7, 6, 1]
+
+    def test_method_flag_is_gone(self, workspace, capsys):
+        """Bisection is the only crossing search: --method is not an
+        option, and a score file still records it as its method."""
+        out = workspace["root"] / "method.csv"
+        argv = ["score", "--model", workspace["simple"], "--data", workspace["data"],
+                "--mode", "local", "--k", 3, "--reps", 5, "--out", out]
+        assert run(argv + ["--method", "linear-scan"]) == 1
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(argv) == 0
+        assert "# method: bisection" in out.read_text().splitlines()
 
     def test_global_mode(self, workspace):
         out = workspace["root"] / "g.csv"
@@ -319,17 +340,23 @@ class TestCompare:
         assert "seed" in err and "epsilon" in err
 
     def test_scoring_contract_refused_without_force(self, workspace, capsys):
-        files = []
+        files = {}
         for k in (3, 20):
-            out = workspace["root"] / f"contract_k{k}.csv"
+            files[k] = workspace["root"] / f"contract_k{k}.csv"
             assert run(["score", "--model", workspace["simple"], "--data",
                         workspace["data"], "--mode", "local", "--k", k,
-                        "--reps", 40, "--seed", 21, "--out", out]) == 0
-            files += ["--a" if k == 3 else "--b", out]
-        for test in ("signed-rank", "mann-whitney"):
-            assert run(["compare", *files, "--test", test]) == 2
-            assert "k '3' vs '20'" in capsys.readouterr().err
-            assert run(["compare", *files, "--test", test, "--force"]) == 0
+                        "--reps", 40, "--seed", 21, "--out", files[k]]) == 0
+        # the k=3 file as if an older version had scored it by linear scan
+        scan = workspace["root"] / "contract_scan.csv"
+        scan.write_text(files[3].read_text().replace("# method: bisection\n",
+                                                     "# method: linear_scan\n"))
+        for b, message in ((files[20], "k '3' vs '20'"),
+                           (scan, "method 'bisection' vs 'linear_scan'")):
+            for test in ("signed-rank", "mann-whitney"):
+                argv = ["compare", "--a", files[3], "--b", b, "--test", test]
+                assert run(argv) == 2
+                assert message in capsys.readouterr().err
+                assert run(argv + ["--force"]) == 0
 
     def test_global_score_files_refused(self, workspace, score_files, capsys):
         files = {}
@@ -549,6 +576,20 @@ class TestExitCodes:
                     "--mode", "global", "--reps", 10,
                     "--out", tmp_path / "o.csv"])
         assert code == 3
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag that README's CLI section names is an option of some
+    dbc subcommand, so a note on a removed flag cannot stay behind."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in subparsers.choices.values()
+               for flag in sub._option_string_actions}
+    assert "--no-center" in named & options
+    assert named <= options, sorted(named - options)
 
 
 README_PIPELINE = [

@@ -252,14 +252,10 @@ class TestComposedScores:
         projected = MlpModel([2, 1, 1], [np.array([[4.0, 0.0]]), np.array([[3.0]])],
                              [np.array([0.0]), np.array([0.0])], "tanh")
         for f in (linear_model_2d, projected):
-            for method in ("bisection", "linear_scan"):
-                config = CrossingConfig(method=method)
-                serial = dbc_local_batch(f, blobs_2d, reps=40, k=4,
-                                         config=config, seed=2, workers=1)
-                parallel = dbc_local_batch(f, blobs_2d, reps=40, k=4,
-                                           config=config, seed=2, workers=4)
-                assert [(s.pair_index, s.value) for s in serial] == \
-                       [(s.pair_index, s.value) for s in parallel], method
+            serial = dbc_local_batch(f, blobs_2d, reps=40, k=4, seed=2, workers=1)
+            parallel = dbc_local_batch(f, blobs_2d, reps=40, k=4, seed=2, workers=4)
+            assert [(s.pair_index, s.value) for s in serial] == \
+                   [(s.pair_index, s.value) for s in parallel]
 
     def test_workers_accept_a_closure(self, blobs_2d):
         """A locally defined callable, which pickle refuses, still scores
