@@ -60,6 +60,19 @@ def linear_scan_oracle(f, A, B, eps):
     return tuple(out)
 
 
+def linear_scan_kernel(f, A, B, config):
+    """The linear-scan oracle in ``_crossing_kernel``'s place. It reads f
+    through the library's contract check, as the bisection does."""
+    return linear_scan_oracle(lambda rows: boundary._f_values(f, rows), A, B, config.epsilon)
+
+
+def use_search(monkeypatch, method):
+    """Run the library's sets and lone crossings over ``method``: its own
+    bisection, or the linear-scan oracle as the crossing kernel."""
+    if method == "linear_scan":
+        monkeypatch.setattr(boundary, "_crossing_kernel", linear_scan_kernel)
+
+
 class CountingClassifier:
     """Wraps a decision function, counting evaluated rows."""
 
@@ -382,7 +395,9 @@ def infinite_left_end(points):
 
 class TestNonFiniteDecisionValues:
     @pytest.mark.parametrize("f", [nan_band, infinite_left_end])
-    def test_find_crossing_raises(self, f):
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_find_crossing_raises(self, monkeypatch, f, method):
+        use_search(monkeypatch, method)
         with pytest.raises(CrossingError, match="non-finite"):
             find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 1.0]))
 
@@ -410,7 +425,8 @@ class TestNonFiniteDecisionValues:
                    for x in aset.failures)
         assert np.isfinite([p.f_value for p in aset.provenance]).all()
 
-    def test_abort_counts_both_kinds_first_by_position(self):
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_abort_counts_both_kinds_first_by_position(self, monkeypatch, method):
         """The anchor (-5, 0) is crossed toward the ten class-1 rows
         (5, y), y = 0, 0.1, ..., 0.9, in that order. f is sigmoid(4 x0),
         but NaN at the three ends with y >= 0.7 and at (0, 0.1), the
@@ -427,6 +443,7 @@ class TestNonFiniteDecisionValues:
             return np.where(hole, np.nan, 1.0 / (1.0 + np.exp(-4.0 * x0)))
 
         pair = ClassPair(a=X[0], b=X[1], index_a=0, index_b=1)
+        use_search(monkeypatch, method)
         with pytest.raises(FailureRateExceeded) as info:
             local_adversarial_set(f, ds, pair, k=9)
         message = str(info.value)
@@ -451,12 +468,14 @@ BROKEN_OUTPUTS = {
 
 class TestDecisionFunctionContract:
     @pytest.mark.parametrize("name", BROKEN_OUTPUTS)
-    def test_broken_output_raises(self, blobs_2d, name):
+    @pytest.mark.parametrize("method", ["bisection", "linear_scan"])
+    def test_broken_output_raises(self, monkeypatch, blobs_2d, name, method):
         """A result not of shape (n,) or a finite value outside [0, 1]
         raises ValueError on a global set, a local batch and a lone
         crossing; NaN and +-inf stay recorded failures (the tests of
         TestNonFiniteDecisionValues)."""
         f, message = BROKEN_OUTPUTS[name]
+        use_search(monkeypatch, method)
         for build in (lambda: global_adversarial_set(f, blobs_2d, reps=20),
                       lambda: dbc_local_batch(f, blobs_2d, reps=10, k=4),
                       lambda: find_crossing(f, np.array([-5.0, 0.0]), np.array([5.0, 0.0]))):
