@@ -6,11 +6,12 @@ configured precision allows. Crossings for a whole batch of segments are
 driven in lockstep so that construction cost is dominated by batched
 forward passes, while each segment's result is identical to what a lone
 ``find_crossing`` call produces for it. A global set, a local set and a
-local batch are all one stack of segment lists, planned before any
-search: each distinct segment searched once, in its first block, and
-every set that holds it reads that one result. Orientation and the
-failure rules apply per set; what a block searches depends on the sets
-up to its own only.
+local batch are all one stack of segment lists, a ``_Batch`` planned by
+``_batch`` before any search: it evaluates f, orients each segment, picks
+the block size and gives each distinct segment to its first block, which
+searches it once; every set that holds it reads that one result. The
+failure rules apply per set, in ``_Batch.crossing_sets``; what a block
+searches depends on the sets up to its own only.
 
 Decision functions must accept a 2-D array of n rows and return an array
 of shape (n,) with values in [0, 1]; ``MlpModel`` instances satisfy this
@@ -44,7 +45,7 @@ from .model import MlpModel, _first_layer_tail
 
 DEFAULT_EPSILON = 1.0 / 256.0
 MAX_FAILURE_RATE = 0.10
-# rows x dimension that one f call of a local batch's block may receive
+# segments x dimension that a block of sets may search, unless one set holds more
 ROW_BUDGET = 2 ** 19
 
 
@@ -264,37 +265,38 @@ def _require_straddle(fa: float, fb: float) -> None:
         )
 
 
-def _orient(ends, f_rows):
-    """f's values at the (row, row) ``ends`` of each segment, whether they
-    straddle 0.5, and the ends with the f < 0.5 end first; ``f_rows`` is f's
-    value on each dataset row. Orientation follows f, whatever the labels,
-    so it is a function of a segment's two rows."""
-    f_ends = f_rows[ends]
-    below = f_ends < 0.5
-    crossed = np.isfinite(f_ends).all(axis=-1) & (below[..., 0] != below[..., 1])
-    return f_ends, crossed, np.where(below[..., 1:], ends[..., ::-1], ends)
-
-
 @dataclass(frozen=True)
-class _Plan:
+class _Batch:
     """The search of a stack of sets' segments, planned before any search;
-    ``_plan`` builds it.
+    ``_batch`` builds it.
 
-    ``ends`` holds the (row, row) ends of each position of each set, and
-    ``f_rows`` f's value on each dataset row. ``distinct`` holds the
-    oriented ends of each distinct straddling segment, in order of first
-    occurrence, and ``segment`` the index into it of each position, or -1
-    where the position's ends do not straddle 0.5. Block b, the sets
+    ``ends`` holds the (row, row) ends of each position of each set,
+    ``f_rows`` f's value on each dataset row, ``search_space`` the
+    (decision function, rows) pair that the kernel searches (``_evaluate``)
+    and ``features`` the dataset rows. ``distinct`` holds the oriented ends
+    of each distinct straddling segment, in order of first occurrence, and
+    ``segment`` the index into it of each position, or -1 where the
+    position's ends do not straddle 0.5. Block b, the sets
     b*per_block .. (b+1)*per_block - 1, searches
     ``distinct[owned[b]:owned[b+1]]``.
     """
 
     ends: np.ndarray
     f_rows: np.ndarray
+    search_space: tuple
+    features: np.ndarray
+    config: CrossingConfig
     distinct: np.ndarray
     segment: np.ndarray
     per_block: int
     owned: np.ndarray
+
+    def search(self, block: int):
+        """lam and f-value of each distinct segment ``block`` owns, in one kernel call."""
+        g, space = self.search_space
+        segments = self.distinct[self.owned[block]:self.owned[block + 1]]
+        lam, fval, _, _ = _crossing_kernel(g, *space[segments.T], self.config)
+        return lam, fval
 
     def at_positions(self, lam, fval, sets: slice = slice(None)):
         """lam and f-value at each position of the sets ``sets``, from
@@ -306,20 +308,62 @@ class _Plan:
         lam_at[crossed], fval_at[crossed] = lam[segment[crossed]], fval[segment[crossed]]
         return lam_at, fval_at
 
+    def crossing_sets(self, sets: slice, lam, fval, kind: str) -> list:
+        """One crossing set per set ``sets``, columns in segment order.
 
-def _plan(ends, f_rows, per_block: int) -> _Plan:
-    """Plan the search of the segments ``ends``, one (row, row) index pair
-    per segment of each set, shape (sets, segments, 2), for blocks of
-    ``per_block`` sets; ``f_rows`` is f's value on each dataset row.
+        ``lam`` and ``fval`` are those sets' ``at_positions``. A segment
+        fails when its ends lie on one side, or when its f-value, at an end
+        or at the crossing, is not finite; each set lists its
+        CrossingFailures in position order, and more than MAX_FAILURE_RATE
+        of them, or fewer than two crossings, abort it. Returns, per set,
+        that FailureRateExceeded or (points, columns, failures): the
+        crossings as rows, and the positions, oriented ends, lam and
+        f-values from which ``_one_set`` builds the provenance.
+        """
+        ends, segment = self.ends[sets], self.segment[sets]
+        found = np.isfinite(fval)
+        failures = [[] for _ in ends]
+        for s, i in zip(*np.nonzero(~found)):  # position order in each set
+            fa, fb = self.f_rows[ends[s, i]]
+            reason = (f"non-finite decision value at lam={lam[s, i]:.6g}" if segment[s, i] >= 0
+                      else "both endpoints on the same side of 0.5"
+                      if math.isfinite(fa) and math.isfinite(fb)
+                      else "non-finite decision value at an endpoint")
+            failures[s].append(CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
+                                               index_b=int(ends[s, i, 1]),
+                                               reason=f"{reason} (f={fa:.6g} and f={fb:.6g})"))
+        position = np.nonzero(found)[1]
+        # only a straddling segment has a finite f-value: orient it as it was searched
+        oriented, lam, fval = self.distinct[segment[found]], lam[found], fval[found]
+        results = []
+        stop = 0
+        for s, count in enumerate(found.sum(axis=1).tolist()):
+            part = slice(stop, stop + count)
+            stop += count
+            # one set's rows at a time stay in cache, where a whole block's do not
+            results.append(_abort(failures[s], ends.shape[1], count, kind) or (
+                _interp(lam[part], *self.features[oriented[part].T]),
+                (position[part], oriented[part], lam[part], fval[part]), tuple(failures[s])))
+        return results
 
-    A segment's orientation, and with it its search, is a function of its
-    two rows (``_orient``): the positions that name the same two rows
-    share one search. Each distinct straddling segment is searched once,
-    by the block where it first appears, so what a block searches depends
-    on the sets up to its own only.
+
+def _batch(f, dataset: LabeledDataset, ends, config: CrossingConfig) -> _Batch:
+    """Plan the search of the segments ``ends``, shape (sets, segments, 2):
+    one (row, row) index pair per segment of each set.
+
+    f is evaluated once on every dataset row. A segment is oriented by f,
+    its f < 0.5 end first, whatever the labels, so its orientation and
+    search are a function of its two rows: the positions that name the
+    same two rows share one search, by the block where they first appear,
+    so what a block searches depends on the sets up to its own only. A
+    block holds P = min(32, max(1, ROW_BUDGET // (segments * dimension)))
+    sets; a single set is always one block.
     """
-    _, crossed, oriented = _orient(ends, f_rows)
-    kept = oriented[crossed]
+    f_rows, search_space = _evaluate(f, dataset.features)
+    f_ends = f_rows[ends]
+    below = f_ends < 0.5
+    crossed = np.isfinite(f_ends).all(axis=-1) & (below[..., 0] != below[..., 1])
+    kept = np.where(below[..., 1:], ends[..., ::-1], ends)[crossed]
     _, first, inverse = np.unique(kept[:, 0] * len(f_rows) + kept[:, 1],
                                   return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -327,60 +371,15 @@ def _plan(ends, f_rows, per_block: int) -> _Plan:
     rank[order] = np.arange(order.size)
     segment = np.full(crossed.shape, -1)
     segment[crossed] = rank[inverse]
+    # larger blocks ran no faster; the row budget keeps a wide block's
+    # buffers below the memory of a global set
+    per_block = min(32, max(1, ROW_BUDGET // (ends.shape[1] * dataset.dimension)))
     owner = np.nonzero(crossed)[0][first[order]] // per_block
     blocks = -(-len(ends) // per_block)
-    return _Plan(ends=ends, f_rows=f_rows, distinct=kept[first[order]], segment=segment,
-                 per_block=per_block, owned=np.searchsorted(owner, np.arange(blocks + 1)))
-
-
-def _search(search, segments, config: CrossingConfig):
-    """lam and f-value of each oriented segment of ``segments``, shape
-    (m, 2), from one ``_crossing_kernel`` call on the rows that ``search``,
-    an ``_evaluate`` result, searches."""
-    g, space = search
-    lam, fval, _, _ = _crossing_kernel(g, *space[segments.T], config)
-    return lam, fval
-
-
-def _crossing_sets(plan: _Plan, sets: slice, lam, fval, features, kind: str) -> list:
-    """One crossing set per set ``sets`` of ``plan``, columns in segment
-    order.
-
-    ``lam`` and ``fval`` are those sets' ``_Plan.at_positions``, and
-    ``features`` the dataset rows. A segment fails when its ends lie on
-    one side, or when its f-value, at an end or at the crossing, is not
-    finite; each set lists its CrossingFailures in position order, and
-    more than MAX_FAILURE_RATE of them, or fewer than two crossings, abort
-    it. Returns, per set, that FailureRateExceeded or (points, columns,
-    failures): the crossings as rows, and the positions, oriented ends,
-    lam and f-values from which ``_one_set`` builds the provenance.
-    """
-    ends = plan.ends[sets]
-    f_ends, crossed, oriented = _orient(ends, plan.f_rows)
-    segments = ends.shape[1]
-    found = np.isfinite(fval)
-    failures = [[] for _ in ends]
-    for s, i in zip(*np.nonzero(~found)):  # position order in each set
-        fa, fb = f_ends[s, i]
-        reason = (f"non-finite decision value at lam={lam[s, i]:.6g}" if crossed[s, i]
-                  else "both endpoints on the same side of 0.5"
-                  if math.isfinite(fa) and math.isfinite(fb)
-                  else "non-finite decision value at an endpoint")
-        failures[s].append(CrossingFailure(pair_index=int(i), index_a=int(ends[s, i, 0]),
-                                           index_b=int(ends[s, i, 1]),
-                                           reason=f"{reason} (f={fa:.6g} and f={fb:.6g})"))
-    position = np.nonzero(found)[1]
-    oriented, lam, fval = oriented[found], lam[found], fval[found]
-    results = []
-    stop = 0
-    for s, count in enumerate(found.sum(axis=1).tolist()):
-        part = slice(stop, stop + count)
-        stop += count
-        # one set's rows at a time stay in cache, where a whole block's do not
-        results.append(_abort(failures[s], segments, count, kind) or (
-            _interp(lam[part], *features[oriented[part].T]),
-            (position[part], oriented[part], lam[part], fval[part]), tuple(failures[s])))
-    return results
+    return _Batch(ends=ends, f_rows=f_rows, search_space=search_space,
+                  features=dataset.features, config=config, distinct=kept[first[order]],
+                  segment=segment, per_block=per_block,
+                  owned=np.searchsorted(owner, np.arange(blocks + 1)))
 
 
 def _abort(failures, attempted, crossings, kind):
@@ -405,10 +404,8 @@ def _one_set(f, dataset: LabeledDataset, ends, kind: str,
     (segments, 2); raises the FailureRateExceeded that aborts the set. The
     set is searched as a local batch's one block would be: each distinct
     straddling segment once, in one kernel call."""
-    f_rows, search = _evaluate(f, dataset.features)
-    plan = _plan(ends[None], f_rows, 1)
-    result, = _crossing_sets(plan, slice(None), *plan.at_positions(
-        *_search(search, plan.distinct, config)), dataset.features, kind)
+    batch = _batch(f, dataset, ends[None], config)
+    result, = batch.crossing_sets(slice(None), *batch.at_positions(*batch.search(0)), kind)
     if isinstance(result, FailureRateExceeded):
         raise result
     points, (positions, ends, lam, fval), failures = result

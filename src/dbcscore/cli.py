@@ -186,16 +186,11 @@ def cmd_score(args) -> int:
         raise UsageError(f"--reps must be at least 2 in global mode, got {args.reps}")
     workers = args.workers
     if workers is None:
-        text = os.environ.get("DBC_WORKERS")
         # the CPUs this process may run on; sched_getaffinity is Linux-only
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        try:
-            workers = cpus if text is None else int(text)
-        except ValueError:
-            raise UsageError(f"$DBC_WORKERS must be an integer, got {text!r}") from None
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
-        raise UsageError("--workers (or $DBC_WORKERS) must be at least 1")
+        raise UsageError(f"--workers must be at least 1, got {workers}")
     epsilon = _parse_epsilon(args.epsilon)
     dataset, data_hash = _load_dataset(args)
     model, model_hash = _load_model(args, dataset.dimension)
@@ -371,8 +366,7 @@ def build_parser() -> _Parser:
     p.add_argument("--divisor", choices=("effective", "paper-n"), default="effective")
     p.add_argument("--expand-around", choices=("a", "b"), default="b")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default $DBC_WORKERS, else the CPUs "
-                        "this process may run on)")
+                   help="worker processes (default: the CPUs this process may run on)")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="rank-test two score files")
@@ -409,7 +403,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DatasetError, ModelError, SpectrumError, StatsError,
-            CrossingError, ValueError, OSError) as exc:
+            CrossingError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,15 +12,16 @@ dominates the spectrum. The divisor is min(n, m) by default ("effective");
 ``paper_n`` divides by log n instead, which caps scores well below 1
 whenever m is much smaller than n.
 
-A local batch scores its pairs in fixed blocks, in two phases. First,
-each distinct segment of the batch is searched once, in its first block:
-a block's kernel call covers the segments that first appear there. Then
-each block's local sets read their crossings from those shared results,
-and its sets of equal size share one stacked eigensolver call. Each set
-still gets its own checks, eigenvalues and entropy, computed with the
-bits of a lone ``eigen_spectrum`` and ``normalized_entropy``. A score
-depends on the pairs up to its block only, so never on the batch length
-or the worker count.
+A local batch scores its pairs in fixed blocks, in two phases, over one
+``boundary._Batch``, planned by ``_batch``, which holds the block rule.
+First, each distinct segment of the batch is searched once, in its first
+block: a block's kernel call covers the segments that first appear there.
+Then each block's local sets read their crossings from those shared
+results, and its sets of equal size share one stacked eigensolver call.
+Each set still gets its own checks, eigenvalues and entropy, computed
+with the bits of a lone ``eigen_spectrum`` and ``normalized_entropy``. A
+score depends on the pairs up to its block only, so never on the batch
+length or the worker count.
 """
 
 from __future__ import annotations
@@ -37,9 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boundary import (MAX_FAILURE_RATE, ROW_BUDGET, AdversarialSet,
-                       CrossingConfig, FailureRateExceeded, _crossing_sets,
-                       _evaluate, _local_ends, _plan, _Plan, _search,
+from .boundary import (MAX_FAILURE_RATE, AdversarialSet, CrossingConfig,
+                       FailureRateExceeded, _batch, _Batch, _local_ends,
                        global_adversarial_set)
 from .dataset import LabeledDataset, _pair_rows
 # dbcbench/tracing.py wraps these names here; the batch itself never calls them
@@ -244,26 +244,21 @@ class _LocalBatch:
     of a block and ``score`` phase 2; a pool's workers get the batch once,
     when they fork, and each task then names its block."""
 
-    plan: _Plan
-    search_space: tuple
-    dataset: LabeledDataset
+    batch: _Batch
     k: int
-    config: CrossingConfig
     center: bool
     divisor_mode: str
 
     def search(self, block: int):
         """lam and f-value of each distinct segment that ``block`` owns."""
-        owned = self.plan.owned
-        return _search(self.search_space, self.plan.distinct[owned[block]:owned[block + 1]],
-                       self.config)
+        return self.batch.search(block)
 
     def score(self, sets: slice, lam, fval):
         """LocalScores of the pairs of the block ``sets``, given lam and
         f-value at each of their positions; a pair whose local set aborts
         gets the message of its FailureRateExceeded instead. Sets of equal
         size are stacked into one ``_eigenvalues`` call."""
-        results = _crossing_sets(self.plan, sets, lam, fval, self.dataset.features, "local")
+        results = self.batch.crossing_sets(sets, lam, fval, "local")
         sizes = {}
         for i, result in enumerate(results):
             if not isinstance(result, FailureRateExceeded):
@@ -271,29 +266,29 @@ class _LocalBatch:
         for m, members in sizes.items():
             # (sets, n, m): each set's examples as columns, as eigen_spectrum takes them
             stack = np.stack([results[i][0] for i in members]).swapaxes(1, 2)
-            divisor = _divisor(self.dataset.dimension, m, self.divisor_mode)
+            divisor = _divisor(self.batch.features.shape[1], m, self.divisor_mode)
             for i, eig in zip(members, _eigenvalues(stack, self.center)):
                 results[i] = LocalScore(pair_index=sets.start + i, k=self.k, sample_count=m,
                                         value=_entropy(eig, divisor))
         return [str(r) if isinstance(r, FailureRateExceeded) else r for r in results]
 
 
-def _both_phases(batch: _LocalBatch, run) -> list:
+def _both_phases(local: _LocalBatch, run) -> list:
     """Every block's phase 1 and phase 2; ``run(phase, arguments)`` maps a
     phase over one tuple of arguments per block, in block order. Block b
     reads only segments that blocks 0..b search, so its phase 2 is given
     the lam and f-values at its positions as soon as its own phase 1 is
     done, and never waits for a later block's."""
-    plan = batch.plan
-    blocks = range(len(plan.owned) - 1)
-    lam, fval = np.empty(len(plan.distinct)), np.empty(len(plan.distinct))
+    batch = local.batch
+    blocks = range(len(batch.owned) - 1)
+    lam, fval = np.empty(len(batch.distinct)), np.empty(len(batch.distinct))
 
     def scoring_tasks():
         for b, searched in zip(blocks, run(_LocalBatch.search, ((b,) for b in blocks))):
-            owned = slice(plan.owned[b], plan.owned[b + 1])
+            owned = slice(batch.owned[b], batch.owned[b + 1])
             lam[owned], fval[owned] = searched
-            sets = slice(b * plan.per_block, (b + 1) * plan.per_block)
-            yield (sets, *plan.at_positions(lam, fval, sets))
+            sets = slice(b * batch.per_block, (b + 1) * batch.per_block)
+            yield (sets, *batch.at_positions(lam, fval, sets))
 
     return [r for scores in run(_LocalBatch.score, scoring_tasks()) for r in scores]
 
@@ -309,27 +304,28 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     pair up by index. f is evaluated once on every dataset row, for the
     segment ends, and one k_nearest call finds the neighbours of every
     distinct hub row at once. Pair i then goes to block i // P, where
-    P = min(32, max(1, ROW_BUDGET // ((k+1) * dimension))) depends only
-    on k and the dimension. Each distinct segment is searched once, in its
-    first block: one crossing-kernel call per block covers the segments
-    that first appear there, and every set that holds a segment reads its
-    crossing from that one result. Each pair's set then gets its own
-    spectrum, though the block's sets of equal size share one stacked
-    eigensolver call. A block's searches depend on the pairs up to that
-    block only, and pair i on (seed, i) alone, so a pair's score depends
-    on neither ``reps`` nor ``workers``: results are identical at any
-    worker count (at least 1).
+    ``_batch`` picks P = min(32, max(1, ROW_BUDGET // ((k+1) * dimension))),
+    which depends only on k and the dimension. Each distinct segment is
+    searched once, in its first block: one crossing-kernel call per block
+    covers the segments that first appear there, and every set that holds
+    a segment reads its crossing from that one result. Each pair's set
+    then gets its own spectrum, though the block's sets of equal size
+    share one stacked eigensolver call. A block's searches depend on the
+    pairs up to that block only, and pair i on (seed, i) alone, so a
+    pair's score depends on neither ``reps`` nor ``workers``: results are
+    identical at any worker count (at least 1).
 
     Blocks may fan out over min(``workers``, blocks) processes, one pool
     for both phases; a single block runs serially. The pool forks its
-    workers, each of which receives ``f``, ``dataset`` and the plan once,
-    when it starts; a block's second-phase task carries the lam and
-    f-values of its own positions, and is queued as soon as the searches
-    of the blocks up to its own are back. It asks for fork by name, since
-    forkserver (Python 3.14's default on Linux) would pickle ``f``, which
-    fails for a closure, and would not hand over the parent's BLAS thread
-    count. The parent runs its BLAS on one thread while the pool runs, so
-    each worker inherits one thread, and then restores its own count.
+    workers, each of which receives the planned batch, with f and the
+    dataset rows, once, when it starts; a block's second-phase task
+    carries the lam and f-values of its own positions, and is queued as
+    soon as the searches of the blocks up to its own are back. It asks
+    for fork by name, since forkserver (Python 3.14's default on Linux)
+    would pickle ``f``, which fails for a closure, and would not hand over
+    the parent's BLAS thread count. The parent runs its BLAS on one thread
+    while the pool runs, so each worker inherits one thread, and then
+    restores its own count.
     Scores that fail (too many crossing failures inside one local set)
     are dropped; more than MAX_FAILURE_RATE of them dropped aborts the
     batch.
@@ -337,25 +333,20 @@ def dbc_local_batch(f, dataset: LabeledDataset, reps: int, k: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ends = _local_ends(dataset, _pair_rows(dataset, reps, seed), k, expand_around)
-    f_rows, search = _evaluate(f, dataset.features)
-    # larger blocks ran no faster; the row budget keeps a wide block's
-    # buffers below the memory of a global set
-    block = min(32, max(1, ROW_BUDGET // ((k + 1) * dataset.dimension)))
-    batch = _LocalBatch(plan=_plan(ends, f_rows, block), search_space=search,
-                        dataset=dataset, k=k, config=config, center=center,
+    local = _LocalBatch(batch=_batch(f, dataset, ends, config), k=k, center=center,
                         divisor_mode=divisor_mode)
-    blocks = len(batch.plan.owned) - 1
+    blocks = len(local.batch.owned) - 1
     processes = min(workers, blocks)
     if processes == 1:
         results = _both_phases(
-            batch, lambda phase, args: itertools.starmap(functools.partial(phase, batch), args))
+            local, lambda phase, args: itertools.starmap(functools.partial(phase, local), args))
     else:
         import multiprocessing  # only pools need it; it adds to every start-up
         chunksize = max(1, blocks // (processes * 8))
         with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
                 max_workers=processes, mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_pool_task, initargs=(batch,)) as pool:
-            results = _both_phases(batch, lambda phase, args: pool.map(
+                initializer=_set_pool_task, initargs=(local,)) as pool:
+            results = _both_phases(local, lambda phase, args: pool.map(
                 functools.partial(_run_pool_task, phase), args, chunksize=chunksize))
     failures = [(i, r) for i, r in enumerate(results) if isinstance(r, str)]
     if len(failures) / reps > MAX_FAILURE_RATE:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boundary import _f_values
+
 CANVAS = 640
 PAD = 20
 CLASS0_POINT = "#2c5f9e"
@@ -27,7 +29,8 @@ def render_plot2d(dataset, f, grid: int = 200, overlay=None) -> str:
     """Render SVG: decision-region raster, data points, optional overlay.
 
     ``overlay`` is an optional (m, 2) array of extra points (for example a
-    generated adversarial set) drawn on top of the raster.
+    generated adversarial set) drawn on top of the raster. f's values pass
+    the crossing search's contract check, which raises ValueError.
     """
     if dataset.dimension != 2:
         raise ValueError(f"plotting requires a 2-D dataset, got dimension {dataset.dimension}")
@@ -46,7 +49,7 @@ def render_plot2d(dataset, f, grid: int = 200, overlay=None) -> str:
     centers_y = hi[1] - (np.arange(grid) + 0.5) / grid * (hi[1] - lo[1])
     gx, gy = np.meshgrid(centers_x, centers_y)
     probe = np.column_stack([gx.ravel(), gy.ravel()])
-    labels = (np.asarray(f(probe)) >= 0.5).reshape(grid, grid)
+    labels = (_f_values(f, probe) >= 0.5).reshape(grid, grid)
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -141,11 +141,11 @@ class TestScore:
         assert outs[0] == outs[1]
 
     def test_workers_default_to_the_usable_cpus(self, workspace, monkeypatch):
-        """Without --workers or $DBC_WORKERS, a local score asks for one
-        worker per CPU the process may run on; the variable overrides that
-        count, and the flag overrides both. Where os has no
-        sched_getaffinity (macOS, Windows) the default is os.cpu_count(),
-        or 1 when that is unknown."""
+        """Without --workers, a local score asks for one worker per CPU the
+        process may run on, and the flag overrides that count. Where os has
+        no sched_getaffinity (macOS, Windows) the default is os.cpu_count(),
+        or 1 when that is unknown. $DBC_WORKERS is no knob: even a value
+        that is no integer leaves the default as it is."""
         asked = []
 
         def spy(*args, workers, **kwargs):
@@ -154,20 +154,18 @@ class TestScore:
 
         monkeypatch.setattr(cli, "dbc_local_batch", spy)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-        monkeypatch.delenv("DBC_WORKERS", raising=False)
         argv = ["score", "--model", workspace["simple"], "--data", workspace["data"],
                 "--mode", "local", "--k", 3, "--reps", 5,
                 "--out", workspace["root"] / "wd.csv"]
         assert run(argv) == 0
-        monkeypatch.setenv("DBC_WORKERS", "2")
-        assert run(argv) == 0
         assert run(argv + ["--workers", 7]) == 0
-        monkeypatch.delenv("DBC_WORKERS")
+        monkeypatch.setenv("DBC_WORKERS", "two")
+        assert run(argv) == 0
         monkeypatch.delattr(os, "sched_getaffinity")
         for count in (6, None):
             monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
             assert run(argv) == 0
-        assert asked == [3, 2, 7, 6, 1]
+        assert asked == [3, 7, 3, 6, 1]
 
     def test_method_flag_is_gone(self, workspace, capsys):
         """Bisection is the only crossing search: --method is not an
@@ -204,19 +202,12 @@ class TestScore:
                     workspace["data"], "--mode", "local",
                     "--out", workspace["root"] / "x.csv"]) == 1
 
-    def test_workers_below_one_usage_error(self, workspace, monkeypatch, capsys):
+    def test_workers_below_one_usage_error(self, workspace, capsys):
         out = workspace["root"] / "w0.csv"
         argv = ["score", "--model", workspace["simple"], "--data", workspace["data"],
                 "--mode", "local", "--k", 3, "--reps", 5, "--out", out]
         assert run(argv + ["--workers", 0]) == 1
-        assert "--workers" in capsys.readouterr().err
-        monkeypatch.setenv("DBC_WORKERS", "-7")
-        assert run(argv) == 1
-        capsys.readouterr()
-        monkeypatch.setenv("DBC_WORKERS", "two")
-        assert run(argv) == 1
-        assert "$DBC_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
-        monkeypatch.delenv("DBC_WORKERS")
+        assert "--workers must be at least 1, got 0" in capsys.readouterr().err
         # --k is checked before the data is read (a missing file exits 2)
         missing = workspace["root"] / "missing.csv"
         assert run(["score", "--model", workspace["simple"], "--data", missing,
@@ -576,6 +567,23 @@ class TestExitCodes:
                     "--mode", "global", "--reps", 10,
                     "--out", tmp_path / "o.csv"])
         assert code == 3
+
+    def test_size_too_large_to_allocate_is_data_error(self, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        """A --reps too large to allocate exits 2 with one error line, not
+        a traceback. The allocation is faked: a host that overcommits
+        memory might try a real one."""
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "dbc_local_batch", too_large)
+        out = tmp_path / "o.csv"
+        assert run(["score", "--model", workspace["simple"], "--data", workspace["data"],
+                    "--mode", "local", "--k", 3, "--reps", 10 ** 12, "--workers", 1,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not out.exists()
 
 
 def test_readme_cli_flags_exist():

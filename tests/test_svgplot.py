@@ -70,3 +70,15 @@ def test_raster_matches_cell_by_cell_runs(readme_blobs, make_f, grid, mixed):
     assert lines == raster_oracle(labels)
     # each raster is the kind it is named for
     assert (0 < labels.mean() < 1) == mixed
+
+
+@pytest.mark.parametrize("f, message", [
+    (lambda X: (X[:, :1] > 0).astype(float), "shape"),
+    (lambda X: 4.0 * X[:, 0], "outside"),
+], ids=["column", "logits"])
+def test_decision_function_contract(readme_blobs, f, message):
+    """The plot reads f through the same contract as the crossing search:
+    an (n, 1) column or a finite value outside [0, 1] raises ValueError
+    instead of rendering a raster."""
+    with pytest.raises(ValueError, match=message):
+        render_plot2d(readme_blobs, f, grid=5)
